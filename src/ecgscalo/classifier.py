@@ -8,6 +8,11 @@ in the default configuration, which keeps the network piecewise linear in
 its parameters and lets the finite-difference gradient oracle match
 backpropagation almost exactly.
 
+Every convolution is one matmul per sample over im2col columns built in a
+reused buffer, so the columns stay cache-sized rather than batch-sized. A
+stride-1 input gradient is the forward convolution of the output gradient
+with the flipped, channel-transposed kernel; the stem's is never computed.
+
 Training is plain momentum SGD, serially deterministic: the shuffle order,
 batch order and all reductions are fixed by the seed, so identical seeds
 produce bit-identical models.
@@ -128,32 +133,60 @@ def init_model(config: NetworkConfig, seed: int) -> Model:
 # ---------------------------------------------------------------------------
 # layer primitives (forward returns a cache consumed by the backward pass)
 
+def _taps(sample, cols, kw, stride):
+    """Pair each tap k = i*kw + j of the column buffer [C, kh*kw, h_out,
+    w_out] with the slice of the padded sample [C, Hp, Wp] that it sees."""
+    h_out, w_out = cols.shape[2:]
+    for k in range(cols.shape[1]):
+        i, j = divmod(k, kw)
+        yield cols[:, k], sample[:, i:i + stride * h_out:stride,
+                                 j:j + stride * w_out:stride]
+
+
 def _conv_forward(x, w, b, stride):
-    kh, kw = w.shape[2], w.shape[3]
+    """'Same'-padded cross-correlation, one column matmul per sample."""
+    out, chans, kh, kw = w.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    y = np.einsum("bchwij,ocij->bohw", win, w, optimize=True)
-    y += b[None, :, None, None]
-    return y, (x.shape, win, w, stride, ph, pw)
+    h_out = (xp.shape[2] - kh) // stride + 1
+    w_out = (xp.shape[3] - kw) // stride + 1
+    cols = np.empty((chans, kh * kw, h_out, w_out))
+    wm, flat = w.reshape(out, -1), cols.reshape(-1, h_out * w_out)
+    y = np.empty((len(x), out, h_out * w_out))
+    for n, sample in enumerate(xp):
+        for col, tap in _taps(sample, cols, kw, stride):
+            col[...] = tap
+        np.matmul(wm, flat, out=y[n])
+    y += b[None, :, None]
+    return y.reshape(len(x), out, h_out, w_out), (xp, w, stride)
 
 
-def _conv_backward(dy, cache):
-    x_shape, win, w, stride, ph, pw = cache
-    batch, chans, height, width = x_shape
-    kh, kw = w.shape[2], w.shape[3]
-    db = dy.sum(axis=(0, 2, 3))
-    dw = np.einsum("bohw,bchwij->ocij", dy, win, optimize=True)
-    dcols = np.einsum("bohw,ocij->bchwij", dy, w, optimize=True)
-    dxp = np.zeros((batch, chans, height + 2 * ph, width + 2 * pw))
-    h_out, w_out = dy.shape[2], dy.shape[3]
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * h_out:stride,
-                j:j + stride * w_out:stride] += dcols[..., i, j]
-    dx = dxp[:, :, ph:height + ph, pw:width + pw] if (ph or pw) else dxp
-    return dx, dw, db
+def _conv_backward(dy, cache, need_dx=True):
+    """(dx, dw, db) from the cached padded input; dx is None if not needed."""
+    xp, w, stride = cache
+    batch, out, h_out, w_out = dy.shape
+    chans, kh, kw = w.shape[1:]
+    dyn = dy.reshape(batch, out, -1)
+    cols = np.empty((chans, kh * kw, h_out, w_out))
+    flat = cols.reshape(-1, h_out * w_out)
+    dwt = np.zeros((flat.shape[0], out))
+    for n, sample in enumerate(xp):
+        for col, tap in _taps(sample, cols, kw, stride):
+            col[...] = tap
+        dwt += flat @ dyn[n].T
+    dw, db = dwt.T.reshape(w.shape), dyn.sum(axis=(0, 2))
+    if not need_dx:
+        return None, dw, db
+    if stride == 1:
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv_forward(dy, flipped, np.zeros(chans), 1)[0], dw, db
+    dxp = np.zeros(xp.shape)
+    for n, sample in enumerate(dxp):
+        np.matmul(w.reshape(out, -1).T, dyn[n], out=flat)
+        for col, tap in _taps(sample, cols, kw, stride):
+            tap += col
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    return dxp[:, :, ph:xp.shape[2] - ph, pw:xp.shape[3] - pw], dw, db
 
 
 def _relu_forward(x):
@@ -298,7 +331,7 @@ def loss_and_grad(model: Model, batch, labels) -> tuple[float, dict[str, np.ndar
     dt = _relu_backward(dt, mask)
     kind, cname, c = caches.pop()
     assert kind == "conv" and cname == "stem"
-    _, dw, db = _conv_backward(dt, c)
+    _, dw, db = _conv_backward(dt, c, need_dx=False)
     grads["stem.w"] = dw
     grads["stem.b"] = db
     assert not caches
@@ -391,6 +424,11 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
     return model
 
 
+def pixels_to_unit(pixels) -> np.ndarray:
+    """8-bit pixels as float64 in [0, 1]."""
+    return pixels.astype(np.float64) / 255.0
+
+
 def _to_real(image, net: NetworkConfig) -> np.ndarray:
     img = np.asarray(image)
     if img.shape != (net.input_height, net.input_width):
@@ -398,7 +436,7 @@ def _to_real(image, net: NetworkConfig) -> np.ndarray:
             f"image shape {img.shape} does not match network input "
             f"({net.input_height}, {net.input_width})")
     if img.dtype == np.uint8:
-        return img.astype(np.float64) / 255.0
+        return pixels_to_unit(img)
     return img.astype(np.float64)
 
 

@@ -150,7 +150,7 @@ def cmd_scalogram(args) -> int:
     return 0
 
 
-def _load_dataset(data_dir, labels_path, cfg):
+def _load_dataset(data_dir, labels_path):
     labels = ingest.load_labels(labels_path)
     paths = _discover_records(data_dir)
     records = [ingest.load_record(p) for p in paths]
@@ -164,7 +164,7 @@ def _load_dataset(data_dir, labels_path, cfg):
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        records, labels = _load_dataset(args.data_dir, args.labels, cfg)
+        records, labels = _load_dataset(args.data_dir, args.labels)
     with _stage("pipeline"):
         wavelet = scalogram.build_db4(cfg.scalogram.iterations)
         dataset = [(pipeline.record_to_input(r, cfg, wavelet),
@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        records, labels = _load_dataset(args.data_dir, args.labels, cfg)
+        records, labels = _load_dataset(args.data_dir, args.labels)
     with _stage("eval"):
         model = classifier.load_model(args.model)
         wavelet = scalogram.build_db4(cfg.scalogram.iterations)

@@ -88,7 +88,7 @@ def run_record(record: EcgRecord, cfg: PipelineConfig,
 def network_input(image: scalogram.GrayImage,
                   cfg: PipelineConfig) -> np.ndarray:
     """Rescale pixels to [0, 1] and area-average onto the network grid."""
-    real = image.pixels.astype(np.float64) / 255.0
+    real = classifier.pixels_to_unit(image.pixels)
     return classifier.area_downsample(real, cfg.network.input_height,
                                       cfg.network.input_width)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgscalo import classifier
 from ecgscalo.classifier import (NetworkConfig, TrainConfig,
@@ -18,6 +19,89 @@ def tiny_batch(seed=42, n=2):
     x = rng.uniform(0.05, 1.0, size=(n, 1, 8, 16))
     labels = rng.integers(0, 4, size=n)
     return x, labels
+
+
+def loop_conv(x, w, b, stride, dy):
+    """Nested-loop 'same' cross-correlation: y and, for the output gradient
+    dy, the input, weight and bias gradients (dx, dw, db)."""
+    batch, chans, height, width = x.shape
+    out, _, kh, kw = w.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    h_out = (height + 2 * ph - kh) // stride + 1
+    w_out = (width + 2 * pw - kw) // stride + 1
+    y = np.zeros((batch, out, h_out, w_out))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for n, o, r, c in np.ndindex(batch, out, h_out, w_out):
+        y[n, o, r, c] = b[o]
+        for ch, i, j in np.ndindex(chans, kh, kw):
+            row, col = r * stride + i - ph, c * stride + j - pw
+            if 0 <= row < height and 0 <= col < width:
+                y[n, o, r, c] += w[o, ch, i, j] * x[n, ch, row, col]
+                dx[n, ch, row, col] += dy[n, o, r, c] * w[o, ch, i, j]
+                dw[o, ch, i, j] += dy[n, o, r, c] * x[n, ch, row, col]
+    return y, dx, dw, dy.sum(axis=(0, 2, 3))
+
+
+def assert_rel_close(got, want, rel):
+    """Largest deviation within ``rel`` of the largest reference value."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestConvPrimitives:
+    # every layer kind of the default net: (c_in, c_out, kernel, stride)
+    KINDS = {"stem": (1, 4, 3, 1), "same": (4, 4, 3, 1),
+             "down": (4, 8, 3, 2), "proj": (4, 8, 1, 2)}
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_nested_loops(self, kind, batch):
+        c_in, c_out, k, stride = self.KINDS[kind]
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, c_in, 6, 8))
+        w = rng.standard_normal((c_out, c_in, k, k))
+        b = rng.standard_normal(c_out)
+        y, cache = classifier._conv_forward(x, w, b, stride)
+        dy = rng.standard_normal(y.shape)
+        want = loop_conv(x, w, b, stride, dy)
+        got = (y,) + classifier._conv_backward(dy, cache)
+        for g, ref in zip(got, want):
+            assert_rel_close(g, ref, 1e-12)
+
+    def test_input_gradient_can_be_skipped(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 1, 6, 8))
+        w = rng.standard_normal((4, 1, 3, 3))
+        y, cache = classifier._conv_forward(x, w, np.zeros(4), 1)
+        dy = rng.standard_normal(y.shape)
+        full = classifier._conv_backward(dy, cache)
+        dx, dw, db = classifier._conv_backward(dy, cache, need_dx=False)
+        assert dx is None
+        np.testing.assert_array_equal(dw, full[1])
+        np.testing.assert_array_equal(db, full[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 3), c_in=st.integers(1, 4),
+           c_out=st.integers(1, 4), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), height=st.integers(1, 9),
+           width=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, batch, c_in, c_out, k, stride, height,
+                              width, seed):
+        # the conv is bilinear in (x, w), so <y - b, dy> = <x, dx> = <w, dw>;
+        # relative to |y - b| |dy|, which bounds every term (Cauchy-Schwarz)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, c_in, height, width))
+        w = rng.standard_normal((c_out, c_in, k, k))
+        b = rng.standard_normal(c_out)
+        y, cache = classifier._conv_forward(x, w, b, stride)
+        dy = rng.standard_normal(y.shape)
+        dx, dw, db = classifier._conv_backward(dy, cache)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        np.testing.assert_allclose(db, dy.sum(axis=(0, 2, 3)), rtol=1e-12)
+        ref = np.vdot(y - b[None, :, None, None], dy)
+        scale = np.linalg.norm(y - b[None, :, None, None]) * np.linalg.norm(dy)
+        assert abs(np.vdot(x, dx) - ref) <= 1e-10 * scale
+        assert abs(np.vdot(w, dw) - ref) <= 1e-10 * scale
 
 
 class TestForward:

@@ -2,14 +2,17 @@
 
 The Butterworth low-pass used for noise removal is designed as a cascade of
 second-order sections (analog prototype, bilinear transform with frequency
-prewarping, via scipy). Rational filters with integer coefficients are kept
-verbatim as numerator/denominator arrays in ascending powers of z^-1;
+prewarping, via scipy). Designs are cached per ``(order, fc, fs)`` and their
+coefficient arrays are read-only, so every caller shares one design.
+Rational filters with integer coefficients are kept verbatim as
+numerator/denominator arrays in ascending powers of z^-1;
 ``magnitude_response`` evaluates them directly from the coefficients, which
 gives the test suite an evaluation route independent of the design path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +41,15 @@ class IirCascade:
     """Cascade of second-order sections (b0, b1, b2, a1, a2), a0 = 1.
 
     Every section must be strictly stable; ``gain`` multiplies the cascade
-    output. Instances are immutable, so one design can safely filter many
-    signals concurrently.
+    output. Instances are immutable and ``sections`` is a read-only copy, so
+    one design can safely filter many signals concurrently.
     """
 
     sections: np.ndarray  # shape (n, 5)
     gain: float = 1.0
 
     def __post_init__(self):
-        secs = np.atleast_2d(np.asarray(self.sections, dtype=np.float64))
+        secs = np.array(self.sections, dtype=np.float64, ndmin=2)
         if secs.shape[1] != 5:
             raise ValueError("each section needs (b0, b1, b2, a1, a2)")
         if not np.all(np.isfinite(secs)) or not np.isfinite(self.gain):
@@ -55,6 +58,7 @@ class IirCascade:
             poles = np.roots([1.0, a1, a2])
             if poles.size and np.max(np.abs(poles)) >= 1.0:
                 raise ValueError(f"unstable section (a1={a1}, a2={a2})")
+        secs.flags.writeable = False
         object.__setattr__(self, "sections", secs)
 
     def to_sos(self) -> np.ndarray:
@@ -68,12 +72,14 @@ class IirCascade:
         return sos
 
 
+@functools.lru_cache(maxsize=32)
 def design_butterworth_lowpass(order: int, fc: float, fs: float) -> IirCascade:
     """Design an order-``order`` Butterworth low-pass at cutoff ``fc`` Hz.
 
     The magnitude response is maximally flat with unity DC gain and -3.01 dB
     at ``fc``. Sections are normalized to unit DC gain individually, with the
-    total gain split out.
+    total gain split out. The design depends only on its arguments, so it is
+    cached; the returned cascade is immutable.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -7,7 +7,9 @@ Supported on-disk formats:
   ``<name>.json`` holding ``{"id": str, "fs": number, "scale": number}``.
 * ``mat5``   -- uncompressed MATLAB level-5 file containing a single int16
   matrix named ``val`` (the shape the 2017 challenge distributes). Anything
-  else is rejected.
+  else is rejected. The rate and scale come from a JSON sidecar if there is
+  one, else from the WFDB header ``<name>.hea`` the challenge ships beside
+  each file, else from the defaults.
 
 Labels come as a two-column CSV (``id,symbol``) with symbols N / A / O / ~.
 """
@@ -15,6 +17,7 @@ Labels come as a two-column CSV (``id,symbol``) with symbols N / A / O / ~.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_FS = 200.0  # Hz, used when no sidecar supplies a rate
+DEFAULT_FS = 200.0  # Hz, used when no sidecar or header supplies a rate
 DEFAULT_MAT_SCALE = 1e-3  # mV per ADC unit for challenge-style int16 data
 
 
@@ -181,6 +184,63 @@ def write_raw16(record: EcgRecord, path) -> None:
     path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
 
 
+def _header_number(text: str, kind, what: str, hea: Path):
+    """Parse one numeric header field; it must be finite and positive."""
+    try:
+        value = kind(text)
+        usable = value > 0 and math.isfinite(value)
+    except (ValueError, OverflowError):
+        usable = False
+    if not usable:
+        raise FormatError(f"{hea.name}: {what} {text!r} is not a finite "
+                          f"positive number")
+    return value
+
+
+def _read_wfdb_header(path: Path) -> dict | None:
+    """fs, scale and sample count from the WFDB header ``<name>.hea``.
+
+    The record line is ``name nsig fs[/counter[(base)]] [nsamp ...]`` and
+    must declare one signal. The signal line's third field is the gain,
+    ``gain[(baseline)][/mV]`` in ADC units per mV, so 1000/mV gives a scale
+    of 1e-3 mV per unit; without it the header gives no scale. Lines
+    starting with ``#`` are comments. Returns None when there is no header;
+    a malformed one raises FormatError.
+    """
+    hea = path.with_suffix(".hea")
+    if not hea.exists():
+        return None
+    try:
+        text = hea.read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{hea.name}: header is not ASCII",
+                          exc.start) from None
+    lines = [line.split() for line in text.splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    if not lines or len(lines[0]) < 3:
+        raise FormatError(f"{hea.name}: record line needs a name, a signal "
+                          f"count and a sampling frequency")
+    record_line = lines[0]
+    nsig = _header_number(record_line[1], int, "signal count", hea)
+    if nsig != 1 or len(lines) < 2:
+        raise FormatError(f"{hea.name}: expected one signal line, the "
+                          f"header declares {nsig} and has {len(lines) - 1}")
+    out = {"fs": _header_number(record_line[2].split("/")[0], float,
+                                "sampling frequency", hea)}
+    if len(record_line) > 3:
+        out["nsamp"] = _header_number(record_line[3], int, "sample count",
+                                      hea)
+    if len(lines[1]) > 2:
+        gain_text, _, units = lines[1][2].partition("/")
+        if units not in ("", "mV"):
+            raise FormatError(f"{hea.name}: gain units {units!r}, not mV")
+        gain = _header_number(gain_text.split("(")[0], float, "gain", hea)
+        if not math.isfinite(32768.0 / gain):
+            raise FormatError(f"{hea.name}: gain {gain_text!r} is too small")
+        out["scale"] = 1.0 / gain
+    return out
+
+
 # MATLAB level-5 constants (only the subset this reader accepts)
 _MI_INT8 = 1
 _MI_INT16 = 3
@@ -264,10 +324,15 @@ def _load_mat5(path: Path) -> EcgRecord:
         raise FormatError("empty signal", p)
     raw = np.frombuffer(data, dtype="<i2", count=count, offset=p)
 
+    # precedence: sidecar, then WFDB header, then the defaults
     meta = _read_sidecar(path) or {}
-    scale = float(meta.get("scale", DEFAULT_MAT_SCALE))
+    header = _read_wfdb_header(path) or {}
+    if header.get("nsamp", count) != count:
+        raise FormatError(f"{path.with_suffix('.hea').name} declares "
+                          f"{header['nsamp']} samples, the file holds {count}")
+    scale = float(meta.get("scale", header.get("scale", DEFAULT_MAT_SCALE)))
     return EcgRecord(id=meta.get("id", path.stem),
-                     fs=float(meta.get("fs", DEFAULT_FS)),
+                     fs=float(meta.get("fs", header.get("fs", DEFAULT_FS))),
                      samples=raw.astype(np.float64) * scale,
                      scale=scale)
 

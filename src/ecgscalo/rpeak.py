@@ -18,6 +18,7 @@ The filters are designed for 200 Hz; other rates are linearly resampled to
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,57 @@ class _Thresholds:
         self.noise = self.update * v + (1.0 - self.update) * self.noise
 
 
+def _threshold_scan(mwi: np.ndarray, thr: _Thresholds, refr: int,
+                    searchback_factor: float) -> list[int]:
+    """Integrated-waveform maxima accepted as beats, in order.
+
+    Each local maximum at least ``refr`` samples after the last accepted
+    one is a beat if it exceeds the threshold and noise otherwise. When no
+    beat has been accepted for ``searchback_factor`` times the mean of the
+    last (up to 8) RR intervals, the largest maximum since the last beat's
+    refractory period that exceeds half the threshold is accepted first.
+    """
+    maxima = _local_maxima(mwi)
+    peak_values = mwi[maxima]
+    # the loop reads positions and values as Python scalars, once
+    positions = maxima.tolist()
+    values = peak_values.tolist()
+    anchors: list[int] = []
+    rr_intervals: list[int] = []
+    rr_sum = 0  # of rr_intervals; exact, so rr_sum / n is np.mean's value
+
+    def accept(idx: int, value: float) -> None:
+        nonlocal rr_sum
+        if anchors:
+            rr = idx - anchors[-1]
+            rr_intervals.append(rr)
+            rr_sum += rr
+            if len(rr_intervals) > 8:
+                rr_sum -= rr_intervals.pop(0)
+        anchors.append(idx)
+        thr.mark_signal(value)
+
+    for pos, c in enumerate(positions):
+        # searchback: no accepted peak for 1.66x the running RR average
+        if rr_intervals and (c - anchors[-1] > searchback_factor
+                             * (rr_sum / len(rr_intervals))):
+            first = bisect.bisect_left(positions, anchors[-1] + refr)
+            back = peak_values[first:pos]
+            above = np.flatnonzero(back > thr.value / 2.0)
+            if above.size:
+                # the first of the largest, as max() over the candidates
+                best = first + int(above[np.argmax(back[above])])
+                accept(positions[best], values[best])
+        if anchors and c - anchors[-1] < refr:
+            continue
+        v = values[pos]
+        if v > thr.value:
+            accept(c, v)
+        else:
+            thr.mark_noise(v)
+    return anchors
+
+
 def detect_rpeaks(record: EcgRecord, *,
                   refractory: float = REFRACTORY_S,
                   threshold_fraction: float = 0.25,
@@ -186,36 +238,7 @@ def detect_rpeaks(record: EcgRecord, *,
                       noise=float(np.mean(mwi[:init_n])),
                       fraction=threshold_fraction, update=update_factor)
 
-    maxima = _local_maxima(mwi)
-    anchors: list[int] = []
-    rr_intervals: list[int] = []
-
-    def accept(idx: int, value: float) -> None:
-        if anchors:
-            rr_intervals.append(idx - anchors[-1])
-            del rr_intervals[:-8]
-        anchors.append(idx)
-        thr.mark_signal(value)
-
-    for pos, c in enumerate(maxima):
-        # searchback: no accepted peak for 1.66x the running RR average
-        if len(rr_intervals) >= 1 and anchors:
-            rr_avg = float(np.mean(rr_intervals))
-            if c - anchors[-1] > searchback_factor * rr_avg:
-                lo = anchors[-1] + refr
-                first = int(np.searchsorted(maxima, lo))
-                back = [m for m in maxima[first:pos]
-                        if mwi[m] > thr.value / 2.0]
-                if back:
-                    best = max(back, key=lambda m: mwi[m])
-                    accept(int(best), float(mwi[best]))
-        if anchors and c - anchors[-1] < refr:
-            continue
-        v = float(mwi[c])
-        if v > thr.value:
-            accept(int(c), v)
-        else:
-            thr.mark_noise(v)
+    anchors = _threshold_scan(mwi, thr, refr, searchback_factor)
 
     # refine to the band-passed local maximum and undo the filter delay
     half = int(round(0.1 * DESIGN_FS))

@@ -65,6 +65,36 @@ class TestDesign:
         assert np.all(np.diff(m) <= 1e-12)
 
 
+class TestDesignCache:
+    def test_design_is_cached_and_read_only(self):
+        c = dsp.design_butterworth_lowpass(6, 35.0, FS)
+        assert dsp.design_butterworth_lowpass(6, 35.0, FS) is c
+        with pytest.raises(ValueError):
+            c.sections[0, 0] = 1.0
+
+    def test_cached_design_equals_fresh_design(self):
+        fresh = dsp.design_butterworth_lowpass.__wrapped__(6, 40.0, 300.0)
+        cached = dsp.design_butterworth_lowpass(6, 40.0, 300.0)
+        assert fresh is not cached
+        np.testing.assert_array_equal(cached.sections, fresh.sections)
+        assert cached.gain == fresh.gain
+
+    @pytest.mark.parametrize("args", [(4, 35.0, FS), (6, 30.0, FS),
+                                      (6, 35.0, 300.0)])
+    def test_arguments_get_their_own_entries(self, args):
+        base = dsp.design_butterworth_lowpass(6, 35.0, FS)
+        other = dsp.design_butterworth_lowpass(*args)
+        assert other is not base
+        assert (other.gain != base.gain
+                or not np.array_equal(other.sections, base.sections))
+
+    def test_cascade_copies_its_sections(self):
+        secs = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+        c = IirCascade(sections=secs)
+        secs[0, 0] = 2.0
+        assert c.sections[0, 0] == 1.0
+
+
 class TestApply:
     def test_zero_in_zero_out(self):
         c = dsp.design_butterworth_lowpass(6, 35.0, FS)

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecgscalo import ingest
 from ecgscalo.ingest import EcgClass, EcgRecord, FormatError, SynthSpec
@@ -133,6 +134,105 @@ class TestLoadMat5:
         p.write_bytes(b"short")
         with pytest.raises(FormatError, match="byte offset"):
             ingest.load_record(p)
+
+
+CHALLENGE_HEADER = ("A00001 1 300 {n} 05:05:15 1/05/2000\n"
+                    "A00001.mat 16+24 1000/mV 16 0 -127 0 0 ECG\n")
+
+
+class TestWfdbHeader:
+    def test_300hz_header_round_trip(self, tmp_path):
+        values = list(range(-300, 300))
+        p = tmp_path / "A00001.mat"
+        write_minimal_mat(p, values)
+        (tmp_path / "A00001.hea").write_text(
+            CHALLENGE_HEADER.format(n=len(values)))
+        rec = ingest.load_record(p)
+        assert rec.fs == 300.0
+        assert rec.scale == 1e-3
+        assert rec.duration == 2.0
+        np.testing.assert_allclose(rec.samples, np.array(values) * 1e-3)
+
+    @pytest.mark.parametrize("gain,scale", [("1000/mV", 1e-3),
+                                            ("200(0)/mV", 5e-3),
+                                            ("500", 2e-3),
+                                            ("2.5(-12)", 0.4)])
+    def test_gain_to_scale(self, tmp_path, gain, scale):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [100, -100])
+        (tmp_path / "r.hea").write_text(
+            f"# comment line\nr 1 250/1(0) 2\nr.mat 16 {gain} 16 0\n")
+        rec = ingest.load_record(p)
+        assert rec.fs == 250.0
+        assert rec.scale == scale
+        np.testing.assert_allclose(rec.samples, [100 * scale, -100 * scale])
+
+    def test_header_without_gain_or_length(self, tmp_path):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [7, 8, 9])
+        (tmp_path / "r.hea").write_text("r 1 360\nr.mat 16\n")
+        rec = ingest.load_record(p)
+        assert rec.fs == 360.0
+        assert rec.scale == ingest.DEFAULT_MAT_SCALE
+
+    def test_sidecar_takes_precedence(self, tmp_path):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [1, 2])
+        (tmp_path / "r.hea").write_text("r 1 300 2\nr.mat 16 200/mV\n")
+        (tmp_path / "r.json").write_text(json.dumps({"fs": 128.0}))
+        rec = ingest.load_record(p)
+        assert rec.fs == 128.0
+        assert rec.scale == 5e-3  # the sidecar gives no scale
+
+    def test_no_header_keeps_defaults(self, tmp_path):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [1, 2])
+        rec = ingest.load_record(p)
+        assert rec.fs == ingest.DEFAULT_FS
+        assert rec.scale == ingest.DEFAULT_MAT_SCALE
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "record line"),
+        ("r 1\nr.mat 16 1000/mV\n", "record line"),
+        ("r 2 300 2\nr.mat 16\nr.mat 16\n", "one signal"),
+        ("r 1 300 2\n", "one signal"),
+        ("r one 300 2\nr.mat 16\n", "signal count"),
+        ("r 1 fast 2\nr.mat 16\n", "sampling frequency"),
+        ("r 1 nan 2\nr.mat 16\n", "sampling frequency"),
+        ("r 1 -300 2\nr.mat 16\n", "sampling frequency"),
+        ("r 1 0 2\nr.mat 16\n", "sampling frequency"),
+        ("r 1 300 2.5\nr.mat 16\n", "sample count"),
+        ("r 1 300 3\nr.mat 16\n", "declares 3 samples"),
+        ("r 1 300 2\nr.mat 16 0/mV\n", "gain"),
+        ("r 1 300 2\nr.mat 16 inf/mV\n", "gain"),
+        ("r 1 300 2\nr.mat 16 1e-320/mV\n", "too small"),
+        ("r 1 300 2\nr.mat 16 1000/uV\n", "units"),
+        ("r 1 3\u00e900 2\nr.mat 16\n", "ASCII"),
+    ])
+    def test_malformed_fields(self, tmp_path, text, match):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [1, 2])
+        (tmp_path / "r.hea").write_bytes(text.encode("utf-8"))
+        with pytest.raises(FormatError, match=match):
+            ingest.load_record(p)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(
+        st.text(max_size=80),
+        st.lists(st.sampled_from(["r", "1", "2", "300", "1000/mV", "200(0)",
+                                  "/", "(", "-1", "0", "1e999", "nan",
+                                  " ", "\n", "#", "r.mat", "16"]),
+                 max_size=20).map("".join)))
+    def test_random_header_raises_only_format_error(self, tmp_path, text):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [1, 2])
+        (tmp_path / "r.hea").write_bytes(text.encode("utf-8"))
+        try:
+            rec = ingest.load_record(p)
+        except FormatError:
+            return
+        assert rec.fs > 0 and np.all(np.isfinite(rec.samples))
 
 
 class TestLabels:

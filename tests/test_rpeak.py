@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgscalo import rpeak
 from ecgscalo.ingest import EcgRecord, SynthSpec, synth_ecg
@@ -186,3 +188,96 @@ class TestRPeaksType:
 
     def test_count(self):
         assert rpeak.RPeaks(indices=np.array([1, 4, 9]), fs=FS).count == 3
+
+
+def reference_scan(mwi, thr, refr, searchback_factor):
+    """The threshold loop as first written: np.mean over the RR list and a
+    Python scan of the searchback candidates. Kept as the oracle for
+    ``rpeak._threshold_scan``."""
+    maxima = rpeak._local_maxima(mwi)
+    anchors, rr_intervals = [], []
+
+    def accept(idx, value):
+        if anchors:
+            rr_intervals.append(idx - anchors[-1])
+            del rr_intervals[:-8]
+        anchors.append(idx)
+        thr.mark_signal(value)
+
+    for pos, c in enumerate(maxima):
+        if len(rr_intervals) >= 1 and anchors:
+            rr_avg = float(np.mean(rr_intervals))
+            if c - anchors[-1] > searchback_factor * rr_avg:
+                lo = anchors[-1] + refr
+                first = int(np.searchsorted(maxima, lo))
+                back = [m for m in maxima[first:pos]
+                        if mwi[m] > thr.value / 2.0]
+                if back:
+                    best = max(back, key=lambda m: mwi[m])
+                    accept(int(best), float(mwi[best]))
+        if anchors and c - anchors[-1] < refr:
+            continue
+        v = float(mwi[c])
+        if v > thr.value:
+            accept(int(c), v)
+        else:
+            thr.mark_noise(v)
+    return anchors
+
+
+def scans_agree(x):
+    """Run both scans on the detector's integrated waveform of ``x``."""
+    mwi = rpeak.pt_chain(np.concatenate([x, np.zeros(80)])).integrated
+    init = mwi[:400]
+
+    def thresholds():
+        return rpeak._Thresholds(signal=float(np.max(init)),
+                                 noise=float(np.mean(init)),
+                                 fraction=0.25, update=0.125)
+
+    fast = rpeak._threshold_scan(mwi, thresholds(), 40, 1.66)
+    slow = reference_scan(mwi, thresholds(), 40, 1.66)
+    assert fast == slow
+    return fast
+
+
+class TestThresholdScan:
+    def test_matches_reference_on_synthetic_records(self):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            rec, _ = synth_ecg(SynthSpec(
+                duration=30.0, bpm=rng.uniform(40.0, 190.0),
+                noise_sigma=rng.uniform(0.0, 0.3), seed=seed))
+            x = rec.samples.copy()
+            # weaken a few 0.5 s stretches so that beats fall below the
+            # threshold and the searchback has to find them
+            for start in rng.integers(400, x.size - 100, 4):
+                x[start:start + 100] *= 0.3
+            scans_agree(x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(400, 3000),
+           spikes=st.integers(0, 40), noise=st.floats(0.0, 2.0))
+    def test_matches_reference_on_random_signals(self, seed, n, spikes,
+                                                 noise):
+        rng = np.random.default_rng(seed)
+        x = noise * rng.standard_normal(n)
+        x[rng.integers(0, n, spikes)] += rng.uniform(0.2, 5.0, spikes)
+        scans_agree(x)
+
+
+class TestDetectProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(fs=st.sampled_from([200.0, 250.0, 300.0, 360.0]), data=st.data())
+    def test_peaks_sorted_in_range_and_refractory(self, fs, data):
+        n = data.draw(st.integers(int(2 * fs), int(5 * fs)))
+        x = data.draw(hnp.arrays(np.float64, n, elements=st.floats(
+            -1e6, 1e6, allow_nan=False, allow_infinity=False)))
+        peaks = rpeak.detect_rpeaks(EcgRecord(id="h", fs=fs, samples=x))
+        idx = peaks.indices
+        assert np.all((idx >= 0) & (idx < n))
+        assert np.all(np.diff(idx) > 0)
+        # 200 Hz peaks are mapped back to fs by rounding, which can close
+        # a gap by at most one sample
+        slack = 0 if fs == rpeak.DESIGN_FS else 1
+        assert np.all(np.diff(idx) >= rpeak.REFRACTORY_S * fs - slack)

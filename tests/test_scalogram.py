@@ -1,12 +1,49 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ecgscalo import scalogram
-from ecgscalo.scalogram import (GrayImage, Scalogram, build_db4, cwt, export,
-                                qmf, read_f32, scaling_filter, to_grayscale,
-                                write_f32, write_pgm)
+from ecgscalo import pipeline, scalogram
+from ecgscalo.config import PipelineConfig
+from ecgscalo.ingest import SynthSpec, synth_ecg
+from ecgscalo.scalogram import (GrayImage, Scalogram, WaveletTable, build_db4,
+                                cwt, export, qmf, read_f32, scaling_filter,
+                                to_grayscale, write_f32, write_pgm)
 
 FS = 200.0
+
+
+def cwt_direct(f, scales, table, fs, stride=1):
+    """The transform as first written: one np.correlate per scale over the
+    zero-padded wave. Kept as the oracle for the FFT evaluation."""
+    f = np.asarray(f, dtype=np.float64)
+    positions = np.arange(0, f.size, stride)
+    out = np.empty((len(scales), positions.size))
+    for j, a in enumerate(scales):
+        d = np.arange(int(scalogram.SUPPORT_END * a) + 1)
+        kernel = table.sample(d / a)
+        row = np.correlate(np.concatenate([f, np.zeros(d.size - 1)]),
+                           kernel, mode="valid")
+        out[j] = (1.0 / fs) / math.sqrt(a) * row[positions]
+    return out
+
+
+def assert_rows_close(fast, slow, rtol=1e-12):
+    """Each row within ``rtol`` of that row's largest magnitude."""
+    scale = np.max(np.abs(slow), axis=1, keepdims=True)
+    assert np.all(np.abs(fast - slow) <= rtol * scale)
+
+
+def synthetic_waves():
+    """Feature waves of synthetic records: clean, noisy and gated."""
+    cfg = PipelineConfig()
+    specs = [SynthSpec(duration=20.0, bpm=bpm, noise_sigma=sigma, seed=seed)
+             for seed, (bpm, sigma) in enumerate(
+                 [(60.0, 0.0), (75.0, 0.05), (110.0, 0.1), (150.0, 0.02),
+                  (20.0, 0.0)])]
+    return [pipeline.feature_wave(synth_ecg(spec)[0], cfg) for spec in specs]
 
 
 class TestFilterAdmissibility:
@@ -125,6 +162,95 @@ class TestCwt:
         np.testing.assert_array_equal(
             cwt(wave, [1.5, 4.0], db4_table, fs=FS).coeffs,
             cwt(values, [1.5, 4.0], db4_table, fs=FS).coeffs)
+
+
+class TestFftEvaluation:
+    def test_matches_direct_correlation_on_synthetic_waves(self, db4_table):
+        cfg = PipelineConfig()
+        scales = np.arange(1.0, cfg.scalogram.num_scales + 1)
+        waves = synthetic_waves()
+        assert waves[-1].is_noise_gated and not waves[0].is_noise_gated
+        for wave in waves:
+            fast = cwt(wave, scales, db4_table, fs=FS)
+            slow = cwt_direct(wave.samples, scales, db4_table, FS)
+            assert_rows_close(fast.coeffs, slow)
+            direct = Scalogram(coeffs=slow, scales=scales, fs=FS)
+            np.testing.assert_array_equal(to_grayscale(fast).pixels,
+                                          to_grayscale(direct).pixels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(8, 1100), stride=st.integers(1, 4),
+           count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_correlation(self, db4_table, length, stride,
+                                        count, seed):
+        rng = np.random.default_rng(seed)
+        top = min(64.0, 8 * length / scalogram.SUPPORT_END)
+        scales = rng.uniform(0.5, top, size=count)
+        f = rng.standard_normal(length)
+        fast = cwt(f, scales, db4_table, fs=FS, stride=stride).coeffs
+        assert_rows_close(fast, cwt_direct(f, scales, db4_table, FS, stride))
+
+    def test_oversized_scale_rejected_after_memo_is_warm(self, db4_table):
+        f = np.ones(16)
+        cwt(f, [2.0], db4_table, fs=FS)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="8x"):
+                cwt(f, [2.0, 32.0], db4_table, fs=FS)
+
+
+class TestCaches:
+    def test_db4_table_is_cached_and_read_only(self):
+        table = build_db4(8)
+        assert build_db4(8) is table
+        with pytest.raises(ValueError):
+            table.psi[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.resolution = 1
+
+    def test_cached_table_equals_fresh_design(self):
+        fresh = build_db4.__wrapped__(9)
+        cached = build_db4(9)
+        assert fresh is not cached
+        np.testing.assert_array_equal(cached.psi, fresh.psi)
+        assert (cached.support, cached.resolution) == (fresh.support,
+                                                       fresh.resolution)
+
+    def test_iterations_get_their_own_entries(self):
+        assert build_db4(8) is not build_db4(10)
+        assert build_db4(8).psi.size != build_db4(10).psi.size
+
+    def test_table_copies_its_samples(self):
+        psi = np.array([0.0, 1.0, -1.0, 0.0])
+        table = WaveletTable(psi=psi, support=(0.0, 7.0), resolution=1)
+        psi[1] = 5.0
+        assert table.psi[1] == 1.0
+
+    def test_tables_never_share_spectra(self, db4_table):
+        other = WaveletTable(psi=-db4_table.psi, support=db4_table.support,
+                             resolution=db4_table.resolution)
+        f = np.random.default_rng(15).standard_normal(100)
+        base = cwt(f, [1.0, 4.5], db4_table, fs=FS).coeffs
+        negated = cwt(f, [1.0, 4.5], other, fs=FS).coeffs
+        np.testing.assert_array_equal(negated, -base)
+        key = next(iter(other._spectra))
+        assert other._spectra[key] is not db4_table._spectra[key]
+
+    def test_memoised_spectra_are_read_only(self, db4_table):
+        cwt(np.ones(40), [1.0, 2.0], db4_table, fs=FS)
+        for _, spectra in db4_table._spectra.values():
+            assert not spectra.flags.writeable
+
+    def test_memo_stays_bounded(self):
+        table = build_db4.__wrapped__(8)
+        rng = np.random.default_rng(16)
+        for i in range(50):
+            length = 32 + i
+            f = rng.standard_normal(length)
+            scales = rng.uniform(0.5, 8.0, size=3)
+            assert_rows_close(cwt(f, scales, table, fs=FS).coeffs,
+                              cwt_direct(f, scales, table, FS))
+            assert len(table._spectra) <= scalogram.SPECTRA_MEMO_ENTRIES
+        assert len(table._spectra) == scalogram.SPECTRA_MEMO_ENTRIES
 
 
 class TestGrayscale:

@@ -3,7 +3,9 @@
 Every command takes ``--config`` (JSON) and ``--seed`` (overrides the config
 seed); all randomness flows from that seed, never from the environment. On
 failure a single machine-readable line naming the failing stage goes to
-stderr and the exit code is nonzero.
+stderr and the exit code is nonzero. A record whose sampling rate comes
+from no sidecar or header gets one machine-readable warning line on stderr
+naming it and the assumed rate; the exit code is unaffected.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
+def _load_record(path, fmt=None) -> ingest.EcgRecord:
+    """Load one record; say on stderr when its rate is only the default."""
+    record = ingest.load_record(path, fmt)
+    if record.fs_source == "default":
+        print(json.dumps({"warning": {
+            "stage": "ingest", "record": record.id,
+            "message": f"no sidecar or header gives the sampling rate of "
+                       f"{path}; assuming the default {record.fs:g} Hz"}}),
+            file=sys.stderr)
+    return record
+
+
 def _discover_records(data_dir) -> list[Path]:
     paths = sorted(p for p in Path(data_dir).iterdir()
                    if p.suffix.lower() in RECORD_EXTENSIONS)
@@ -67,7 +81,7 @@ def cmd_preprocess(args) -> int:
     """Raw record in, Butterworth-filtered csv (with fs sidecar) out."""
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = ingest.load_record(args.input, args.format)
+        record = _load_record(args.input, args.format)
     with _stage("preprocess"):
         filtered = pipeline.preprocess(record, cfg)
         _write_samples_csv(filtered, args.output)
@@ -81,7 +95,7 @@ def cmd_detect(args) -> int:
     """Detect R peaks on the record as given (chained after preprocess)."""
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = ingest.load_record(args.input, args.format)
+        record = _load_record(args.input, args.format)
     with _stage("detect"):
         peaks = pipeline.detect(record, cfg, filtered=record.samples)
         Path(args.output).write_text(
@@ -103,7 +117,7 @@ def cmd_featurize(args) -> int:
     fresh detection pass (both yield identical output)."""
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = ingest.load_record(args.input, args.format)
+        record = _load_record(args.input, args.format)
     with _stage("featurize"):
         peaks = None
         if args.peaks:
@@ -140,7 +154,7 @@ def cmd_scalogram(args) -> int:
             scalo = pipeline.feature_to_scalogram(wave, cfg)
             image = scalogram.to_grayscale(scalo)
         else:
-            record = ingest.load_record(args.input, args.format)
+            record = _load_record(args.input, args.format)
             out = pipeline.run_record(record, cfg)
             scalo, image = out.scalo, out.image
         if args.image_format == "pgm":
@@ -153,7 +167,7 @@ def cmd_scalogram(args) -> int:
 def _load_dataset(data_dir, labels_path):
     labels = ingest.load_labels(labels_path)
     paths = _discover_records(data_dir)
-    records = [ingest.load_record(p) for p in paths]
+    records = [_load_record(p) for p in paths]
     missing = ingest.unlabeled_ids(labels, [r.id for r in records])
     if missing:
         raise ValueError(
@@ -211,7 +225,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = ingest.load_record(args.record, args.format)
+        record = _load_record(args.record, args.format)
     with _stage("predict"):
         model = classifier.load_model(args.model)
         cls = classifier.predict(model, pipeline.record_to_input(record, cfg))

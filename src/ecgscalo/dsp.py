@@ -1,39 +1,103 @@
-"""Preprocessing filter design and frequency-response evaluation.
+"""Preprocessing filter design, application and frequency-response evaluation.
 
-The Butterworth low-pass used for noise removal is designed as a cascade of
-second-order sections (analog prototype, bilinear transform with frequency
-prewarping, via scipy). Designs are cached per ``(order, fc, fs)`` and their
-coefficient arrays are read-only, so every caller shares one design.
-Rational filters with integer coefficients are kept verbatim as
-numerator/denominator arrays in ascending powers of z^-1;
-``magnitude_response`` evaluates them directly from the coefficients, which
-gives the test suite an evaluation route independent of the design path.
+Everything here is numpy. The Butterworth low-pass used for noise removal is
+designed as a cascade of second-order sections (Oppenheim & Schafer,
+*Discrete-Time Signal Processing*): the analog prototype poles
+exp(j pi (2k + N + 1) / 2N), k = 0..N-1, are scaled to the prewarped cutoff
+tan(pi fc / fs) and mapped through the bilinear transform
+z = (1 + s) / (1 - s). Each conjugate pair becomes a section with both
+zeros at z = -1; an odd order adds one first-order section first. Sections
+are ordered by pole radius, the pair nearest the unit circle last, and each
+has unit DC gain, so the cascade gain is exactly 1. Designs are cached per
+``(order, fc, fs)`` and are immutable. Rational filters with integer
+coefficients are kept verbatim as numerator/denominator arrays in ascending
+powers of z^-1.
+
+``apply_filter`` runs a filter from zero initial conditions by one of two
+exact routes, chosen once per filter from its coefficients:
+
+* FIR. A rational filter whose denominator divides its numerator with
+  remainder 0 is the FIR of the quotient (the Pan-Tompkins filters: 11 and
+  32 taps). A cascade is its impulse response, cut where a bound from the
+  largest pole radius puts the whole tail below ``TAIL_BOUND`` of the peak,
+  if that is within ``MAX_FIR_TAPS`` taps. Short convolutions run through
+  ``np.convolve``, long ones through an FFT of length 2^p 3^q.
+* Block recursion. Any other filter (a cascade with a longer tail, a
+  rational filter that is not an FIR) is its numerator followed by one
+  first-order recursion per pole, each run over blocks of ``BLOCK``
+  samples: a matrix product inside a block, one Python step between blocks.
+
+``magnitude_response`` evaluates |H| directly from the coefficients, which
+gives the test suite an evaluation route independent of the design path and
+of both application routes.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import signal as sig
+
+TAIL_BOUND = 1e-17  # dropped impulse-response tail, relative to its peak
+MAX_FIR_TAPS = 4096  # longest impulse response applied as an FIR
+BLOCK = 64  # samples per Python step of the block recursion
+DIRECT_CONVOLVE_MAX = 64  # taps (or samples) up to which np.convolve wins
+SPECTRA_MEMO_ENTRIES = 32  # tap spectra one filter keeps, one per FFT length
+
+
+def fft_size(n: int) -> int:
+    """Smallest 2^p * 3^q that is >= n, a fast transform length."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        size = p3
+        while size < n:
+            size *= 2
+        best = min(best, size)
+        p3 *= 3
+    return best
 
 
 @dataclass(frozen=True)
 class RationalFilter:
-    """Transfer function b(z^-1)/a(z^-1), coefficients in ascending delay."""
+    """Transfer function b(z^-1)/a(z^-1), coefficients in ascending delay.
+
+    Instances are immutable and ``num``/``den`` are read-only copies, so
+    what ``apply_filter`` derives from them once never goes stale.
+    """
 
     num: np.ndarray
     den: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "num", np.asarray(self.num, dtype=np.float64))
-        object.__setattr__(self, "den", np.asarray(self.den, dtype=np.float64))
-        if self.den.size == 0 or self.den[0] == 0:
+        num = np.array(self.num, dtype=np.float64, ndmin=1)
+        den = np.array(self.den, dtype=np.float64, ndmin=1)
+        if den.size == 0 or den[0] == 0:
             raise ValueError("denominator leading coefficient must be nonzero")
-        if not (np.all(np.isfinite(self.num)) and np.all(np.isfinite(self.den))):
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
             raise ValueError("filter coefficients must be finite")
+        num.flags.writeable = False
+        den.flags.writeable = False
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @functools.cached_property
+    def taps(self) -> np.ndarray | None:
+        """The FIR equal to this filter: num / den when the remainder is 0."""
+        quotient, remainder = npoly.polydiv(self.num, self.den)
+        if np.any(remainder != 0):
+            return None
+        quotient.flags.writeable = False
+        return quotient
+
+    @functools.cached_property
+    def _stages(self) -> tuple:
+        return (_stage(self.num / self.den[0], np.roots(self.den)),)
 
 
 @dataclass(frozen=True)
@@ -47,6 +111,8 @@ class IirCascade:
 
     sections: np.ndarray  # shape (n, 5)
     gain: float = 1.0
+    _spectra: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         secs = np.array(self.sections, dtype=np.float64, ndmin=2)
@@ -61,15 +127,124 @@ class IirCascade:
         secs.flags.writeable = False
         object.__setattr__(self, "sections", secs)
 
-    def to_sos(self) -> np.ndarray:
-        """scipy-style (n, 6) array with the gain folded into section 0."""
-        n = self.sections.shape[0]
-        sos = np.empty((n, 6))
-        sos[:, 0:3] = self.sections[:, 0:3]
-        sos[:, 3] = 1.0
-        sos[:, 4:6] = self.sections[:, 3:5]
-        sos[0, 0:3] *= self.gain
-        return sos
+    @functools.cached_property
+    def taps(self) -> np.ndarray | None:
+        """The impulse response, cut where its tail is provably negligible.
+
+        With N poles of radius at most R and the cascade numerator b of
+        degree M, |h[n]| <= |b|_1 C(n + N - 1, N - 1) R^(n - M) for n >= M.
+        The response is cut at the first n from which that bound, summed
+        over the whole tail, is at most ``TAIL_BOUND`` times the peak of h.
+        None when the cut lies beyond ``MAX_FIR_TAPS``.
+        """
+        num = np.array([self.gain])
+        radius = 0.0
+        for b0, b1, b2, a1, a2 in self.sections:
+            num = np.convolve(num, [b0, b1, b2])
+            radius = max(radius, *np.abs(_section_poles(a1, a2)))
+        impulse = np.zeros(MAX_FIR_TAPS)
+        impulse[0] = 1.0
+        h = _run_stages(self._stages, impulse)
+        degree, poles = num.size - 1, 2 * len(self.sections)
+        if radius == 0.0:
+            length = degree + 1  # every pole at the origin: h is b itself
+        else:
+            n = np.arange(MAX_FIR_TAPS + 1)
+            log_bound = (np.log(np.sum(np.abs(num)))
+                         + np.log1p(n[:, None] / np.arange(1, poles)).sum(1)
+                         + (n - degree) * np.log(radius))
+            ratio = radius * (n + poles) / (n + 1)  # bound[n+1] / bound[n]
+            shrinking = (n >= degree) & (ratio < 1.0)
+            tail = np.full(n.size, np.inf)
+            tail[shrinking] = (np.exp(log_bound[shrinking])
+                               / (1.0 - ratio[shrinking]))
+            cut = np.flatnonzero(tail <= TAIL_BOUND * np.max(np.abs(h)))
+            if cut.size == 0:
+                return None
+            length = int(cut[0])
+        taps = h[:length].copy()
+        taps.flags.writeable = False
+        return taps
+
+    @functools.cached_property
+    def _stages(self) -> tuple:
+        return tuple(
+            _stage(np.array([b0, b1, b2]) * (self.gain if i == 0 else 1.0),
+                   _section_poles(a1, a2))
+            for i, (b0, b1, b2, a1, a2) in enumerate(self.sections))
+
+
+def _section_poles(a1: float, a2: float) -> np.ndarray:
+    """Roots of z^2 + a1 z + a2, each correctly rounded.
+
+    Worked in 40 decimal digits: near z = 1 the discriminant cancels, and
+    poles a few ulps off move the gain of a narrow low-pass by ~1e-12.
+    """
+    ctx = decimal.Context(prec=40)
+    re = ctx.divide(-decimal.Decimal(a1), 2)
+    disc = ctx.subtract(ctx.multiply(re, re), decimal.Decimal(a2))
+    root = ctx.sqrt(abs(disc))
+    if disc < 0:
+        return np.array([complex(float(re), float(root)),
+                         complex(float(re), -float(root))])
+    return np.array([float(ctx.add(re, root)), float(ctx.subtract(re, root))])
+
+
+def _stage(num: np.ndarray, poles: np.ndarray) -> tuple:
+    """num(z^-1) / prod(1 - p z^-1) as (numerator, one block form per pole).
+
+    Each pole runs as its own recursion y[n] = p y[n-1] + x[n] over blocks
+    of K = ``BLOCK`` samples. Its block form (T, w) holds T, the
+    lower-triangular Toeplitz matrix of p^0..p^(K-1) that gives the
+    response to a block's own inputs, and w[i] = p^(i+1), the weight of the
+    previous block's last output at sample i. No power of p exceeds 1 in
+    size; a joint state space for a pole pair near z = 1 would lose digits.
+    """
+    lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))
+    forms = []
+    for p in poles[poles != 0]:  # a pole at the origin passes x through
+        powers = (p.real if p.imag == 0 else p) ** np.arange(BLOCK + 1)
+        forms.append((np.where(lag >= 0, powers[np.maximum(lag, 0)], 0),
+                      powers[1:]))
+    return num, tuple(forms)
+
+
+def _run_stages(stages: tuple, x: np.ndarray) -> np.ndarray:
+    """Exact recursion of each stage in turn, one Python step per block."""
+    n = x.size
+    for num, forms in stages:
+        x = np.convolve(x, num)[:n]
+        for toeplitz, weights in forms:
+            xb = np.zeros(-(-n // BLOCK) * BLOCK, dtype=toeplitz.dtype)
+            xb[:n] = x
+            local = xb.reshape(-1, BLOCK) @ toeplitz.T
+            carries, carry, step = [], 0.0, weights[-1]  # step = p^K
+            for last in local[:, -1].tolist():
+                carries.append(carry)
+                carry = step * carry + last
+            x = (local + np.multiply.outer(carries, weights)).ravel()[:n]
+        x = x.real  # a conjugate pair leaves no imaginary part
+    return x
+
+
+def _convolve(filt: IirCascade | RationalFilter, x: np.ndarray) -> np.ndarray:
+    """First ``x.size`` samples of ``x`` convolved with ``filt.taps``.
+
+    Long convolutions run through an FFT long enough not to wrap; the
+    spectrum of the taps is memoised on the filter per transform length.
+    """
+    taps = filt.taps
+    if min(taps.size, x.size) <= DIRECT_CONVOLVE_MAX:
+        return np.convolve(x, taps)[:x.size]
+    nfft = fft_size(x.size + taps.size - 1)
+    memo = filt._spectra
+    spectrum = memo.get(nfft)
+    if spectrum is None:
+        spectrum = np.fft.rfft(taps, nfft)
+        if len(memo) >= SPECTRA_MEMO_ENTRIES:
+            memo.pop(next(iter(memo)), None)
+        memo[nfft] = spectrum
+    return np.fft.irfft(np.fft.rfft(x, nfft) * spectrum, nfft)[:x.size]
 
 
 @functools.lru_cache(maxsize=32)
@@ -77,39 +252,44 @@ def design_butterworth_lowpass(order: int, fc: float, fs: float) -> IirCascade:
     """Design an order-``order`` Butterworth low-pass at cutoff ``fc`` Hz.
 
     The magnitude response is maximally flat with unity DC gain and -3.01 dB
-    at ``fc``. Sections are normalized to unit DC gain individually, with the
-    total gain split out. The design depends only on its arguments, so it is
-    cached; the returned cascade is immutable.
+    at ``fc``. Every section has unit DC gain, so ``gain`` is 1. The design
+    depends only on its arguments, so it is cached; the returned cascade is
+    immutable.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < fc < fs / 2:
         raise ValueError(f"cutoff {fc} Hz must lie in (0, {fs / 2}) Hz")
-    sos = sig.butter(order, fc, btype="low", fs=fs, output="sos")
-    gain = 1.0
-    sections = np.empty((sos.shape[0], 5))
-    for i, row in enumerate(sos):
-        b, a = row[:3], row[3:]
-        g = np.sum(b) / np.sum(a)  # section DC gain; nonzero for a low-pass
-        sections[i, 0:3] = b / g
-        sections[i, 3:5] = a[1:]
-        gain *= g
-    return IirCascade(sections=sections, gain=gain)
+    # prototype poles -exp(j pi m / 2N) = exp(j pi (2k + N + 1) / 2N) for
+    # m = 2k + 1 - N; m <= 0 keeps the real pole and one of each pair, from
+    # the most damped (smallest radius after the mapping) outwards
+    m = np.arange(order % 2 - 1, -order, -2)
+    analog = -np.exp(1j * np.pi * m / (2 * order)) * np.tan(np.pi * (fc / fs))
+    poles = (1.0 + analog) / (1.0 - analog)
+    a1 = -2.0 * poles.real
+    a2 = poles.real * poles.real + poles.imag * poles.imag
+    b = np.outer((1.0 + a1 + a2) / 4.0, [1.0, 2.0, 1.0])
+    if order % 2:  # the real pole: one zero at z = -1, one pole
+        a1[0], a2[0] = -poles[0].real, 0.0
+        b[0] = [(1.0 + a1[0]) / 2.0, (1.0 + a1[0]) / 2.0, 0.0]
+    return IirCascade(sections=np.column_stack([b, a1, a2]))
 
 
 def apply_filter(filt: IirCascade | RationalFilter, x) -> np.ndarray:
-    """Run the direct-form difference equation with zero initial conditions.
+    """Run the filter's difference equation with zero initial conditions.
 
     Output length equals input length and the operator is linear in x.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("input signal contains non-finite samples")
-    if isinstance(filt, IirCascade):
-        return sig.sosfilt(filt.to_sos(), x)
-    if isinstance(filt, RationalFilter):
-        return sig.lfilter(filt.num, filt.den, x)
-    raise TypeError(f"unsupported filter type {type(filt).__name__}")
+    if not isinstance(filt, (IirCascade, RationalFilter)):
+        raise TypeError(f"unsupported filter type {type(filt).__name__}")
+    if x.size == 0:
+        return x.copy()
+    if filt.taps is not None:
+        return _convolve(filt, x)
+    return _run_stages(filt._stages, x)
 
 
 def _limit_ratio(num: np.ndarray, den: np.ndarray, w: complex) -> complex:

@@ -27,6 +27,7 @@ import numpy as np
 
 DEFAULT_FS = 200.0  # Hz, used when no sidecar or header supplies a rate
 DEFAULT_MAT_SCALE = 1e-3  # mV per ADC unit for challenge-style int16 data
+FS_SOURCES = ("given", "sidecar", "header", "default")
 
 
 class EcgClass(IntEnum):
@@ -59,18 +60,24 @@ class EcgRecord:
 
     ``samples`` are stored in mV; ``scale`` records the mV-per-raw-unit
     factor that was applied at load time (1.0 when the source was already
-    real-valued).
+    real-valued). ``fs_source`` says where ``fs`` came from: ``"given"`` by
+    the caller, a JSON ``"sidecar"``, a WFDB ``"header"``, or the
+    ``"default"`` ``DEFAULT_FS`` when the file had neither.
     """
 
     id: str
     fs: float
     samples: np.ndarray
     scale: float = 1.0
+    fs_source: str = "given"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.fs <= 0:
             raise ValueError(f"sampling rate must be positive, got {self.fs}")
+        if self.fs_source not in FS_SOURCES:
+            raise ValueError(f"fs_source must be one of {FS_SOURCES}, got "
+                             f"{self.fs_source!r}")
         if self.samples.size == 0:
             raise ValueError("record has no samples")
         if not np.all(np.isfinite(self.samples)):
@@ -156,7 +163,8 @@ def _load_csv(path: Path) -> EcgRecord:
     return EcgRecord(id=meta.get("id", path.stem),
                      fs=float(meta.get("fs", DEFAULT_FS)),
                      samples=np.array(values),
-                     scale=float(meta.get("scale", 1.0)))
+                     scale=float(meta.get("scale", 1.0)),
+                     fs_source="sidecar" if "fs" in meta else "default")
 
 
 def _load_raw16(path: Path) -> EcgRecord:
@@ -172,7 +180,7 @@ def _load_raw16(path: Path) -> EcgRecord:
     raw = np.frombuffer(data, dtype="<i2").astype(np.float64)
     scale = float(meta["scale"])
     return EcgRecord(id=str(meta["id"]), fs=float(meta["fs"]),
-                     samples=raw * scale, scale=scale)
+                     samples=raw * scale, scale=scale, fs_source="sidecar")
 
 
 def write_raw16(record: EcgRecord, path) -> None:
@@ -331,10 +339,15 @@ def _load_mat5(path: Path) -> EcgRecord:
         raise FormatError(f"{path.with_suffix('.hea').name} declares "
                           f"{header['nsamp']} samples, the file holds {count}")
     scale = float(meta.get("scale", header.get("scale", DEFAULT_MAT_SCALE)))
-    return EcgRecord(id=meta.get("id", path.stem),
-                     fs=float(meta.get("fs", header.get("fs", DEFAULT_FS))),
+    if "fs" in meta:
+        fs, fs_source = float(meta["fs"]), "sidecar"
+    elif "fs" in header:
+        fs, fs_source = float(header["fs"]), "header"
+    else:
+        fs, fs_source = DEFAULT_FS, "default"
+    return EcgRecord(id=meta.get("id", path.stem), fs=fs,
                      samples=raw.astype(np.float64) * scale,
-                     scale=scale)
+                     scale=scale, fs_source=fs_source)
 
 
 def load_labels(path) -> dict[str, EcgClass]:

@@ -19,6 +19,7 @@ The filters are designed for 200 Hz; other rates are linearly resampled to
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +35,22 @@ REFRACTORY_S = 0.2
 BANDPASS_DELAY = 21
 
 
+@functools.cache
 def pt_lowpass() -> RationalFilter:
-    """Second-order integer low-pass, DC gain 36."""
+    """Second-order integer low-pass, DC gain 36 (the FIR of 11 taps
+    (1 + z^-1 + ... + z^-5)^2). Built once; the filter is immutable."""
     num = np.zeros(13)
     num[0], num[6], num[12] = 1.0, -2.0, 1.0
     return RationalFilter(num=num, den=np.array([1.0, -2.0, 1.0]))
 
 
+@functools.cache
 def pt_highpass() -> RationalFilter:
     """Integer high-pass, 32 z^-16 minus a 32-point moving sum.
 
     DC gain 0, passband gain 32 (exactly 32 at Nyquist); the impulse
-    response is zero from sample 33 on.
+    response is zero from sample 33 on, an FIR of 32 taps. Built once; the
+    filter is immutable.
     """
     num = np.zeros(33)
     num[0], num[16], num[17], num[32] = -1.0, 32.0, -32.0, 1.0
@@ -199,6 +204,19 @@ def _threshold_scan(mwi: np.ndarray, thr: _Thresholds, refr: int,
     return anchors
 
 
+def _refine(bp: np.ndarray, anchors: list[int], half: int) -> np.ndarray:
+    """Index of the first largest ``bp`` sample within +-``half`` of each
+    anchor, the window clipped to the signal.
+
+    One argmax over windows of the signal padded with -inf on both sides:
+    padding never wins, so clipping and first-of-largest ties are kept.
+    """
+    padded = np.pad(bp, half, constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    idx = np.asarray(anchors, dtype=np.int64)
+    return idx - half + windows[idx].argmax(axis=1)
+
+
 def detect_rpeaks(record: EcgRecord, *,
                   refractory: float = REFRACTORY_S,
                   threshold_fraction: float = 0.25,
@@ -242,14 +260,8 @@ def detect_rpeaks(record: EcgRecord, *,
 
     # refine to the band-passed local maximum and undo the filter delay
     half = int(round(0.1 * DESIGN_FS))
-    refined: list[int] = []
-    for c in anchors:
-        lo, hi = max(0, c - half), min(bp.size, c + half + 1)
-        r = int(lo + np.argmax(bp[lo:hi])) - BANDPASS_DELAY
-        if 0 <= r < n:
-            refined.append(r)
-
-    refined.sort()
+    refined = _refine(bp, anchors, half) - BANDPASS_DELAY
+    refined = np.sort(refined[(refined >= 0) & (refined < n)]).tolist()
     kept: list[int] = []
     for r in refined:
         if not kept or r - kept[-1] >= refr:

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ecgscalo.dsp import fft_size
 from ecgscalo.featurize import FeatureWave
 
 SUPPORT_END = 7.0  # the 8-tap family lives on [0, 7] in natural wavelet time
@@ -178,19 +179,6 @@ def build_db4(iterations: int = DEFAULT_ITERATIONS) -> WaveletTable:
                         resolution=2 ** iterations)
 
 
-def _fft_size(n: int) -> int:
-    """Smallest 2^p * 3^q that is >= n, a fast transform length."""
-    best = 1 << (n - 1).bit_length()
-    p3 = 1
-    while p3 < best:
-        size = p3
-        while size < n:
-            size *= 2
-        best = min(best, size)
-        p3 *= 3
-    return best
-
-
 def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
                     fs: float) -> tuple[int, np.ndarray]:
     """Transform length and per-scale conjugate kernel spectra for ``cwt``.
@@ -211,7 +199,7 @@ def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
         raise ValueError(
             f"scale {np.max(scales)} dilates the wavelet over {reach:.0f} "
             f"samples, more than 8x the {length}-sample wave")
-    nfft = _fft_size(length + int(reach))
+    nfft = fft_size(length + int(reach))
     padded = np.zeros((scales.size, nfft))
     for j, a in enumerate(scales):
         d = np.arange(int(SUPPORT_END * a) + 1)

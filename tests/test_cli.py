@@ -162,6 +162,27 @@ class TestCommands:
         assert data.startswith(header)
         assert set(data[len(header):]) == {0}
 
+    def test_default_rate_is_reported(self, tmp_path, capsys):
+        rec, _ = synth_ecg(SynthSpec(duration=10.0, bpm=70.0, seed=2))
+        cli._write_samples_csv(rec.samples, tmp_path / "bare.csv")
+        rc = cli.main(["preprocess", str(tmp_path / "bare.csv"),
+                       str(tmp_path / "out.csv")])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        warning = json.loads(lines[0])["warning"]
+        assert warning["stage"] == "ingest" and warning["record"] == "bare"
+        assert "200 Hz" in warning["message"]
+
+    def test_record_with_sidecar_prints_nothing(self, tmp_path, capsys):
+        rec, _ = synth_ecg(SynthSpec(duration=10.0, bpm=70.0, seed=2))
+        ingest.write_raw16(EcgRecord(id="S1", fs=200.0, samples=rec.samples,
+                                     scale=1e-4), tmp_path / "S1.raw16")
+        rc = cli.main(["preprocess", str(tmp_path / "S1.raw16"),
+                       str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_detect_writes_taps(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         save_config(small_config(), cfg_path)

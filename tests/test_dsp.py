@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgscalo import dsp
 from ecgscalo.dsp import IirCascade, RationalFilter
@@ -194,3 +200,153 @@ class TestTypes:
     def test_zero_leading_denominator_rejected(self):
         with pytest.raises(ValueError):
             RationalFilter(num=[1.0], den=[0.0, 1.0])
+
+
+def cascade_loop(cascade, x):
+    """y[n] = sum b_k x[n-k] - sum a_k y[n-k], section by section, in
+    Python floats; the oracle for ``apply_filter`` on a cascade."""
+    y = [float(v) for v in x]
+    for b0, b1, b2, a1, a2 in cascade.sections.tolist():
+        out, x1, x2, y1, y2 = [], 0.0, 0.0, 0.0, 0.0
+        for v in y:
+            w = b0 * v + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
+            x2, x1, y2, y1 = x1, v, y1, w
+            out.append(w)
+        y = out
+    return cascade.gain * np.array(y)
+
+
+def rational_loop(filt, x):
+    """The same difference equation for b(z^-1)/a(z^-1), a0 dividing."""
+    b, a = filt.num.tolist(), filt.den.tolist()
+    x, y = [float(v) for v in x], []
+    for n in range(len(x)):
+        acc = sum(bk * x[n - k] for k, bk in enumerate(b) if k <= n)
+        acc -= sum(ak * y[n - k] for k, ak in enumerate(a) if 1 <= k <= n)
+        y.append(acc / a[0])
+    return np.array(y)
+
+
+def random_input(rng, n):
+    """Gaussian samples on a 2^-20 grid. With integer coefficients the
+    loop then runs exactly, even through the Pan-Tompkins poles on the
+    unit circle, which would otherwise integrate its own rounding."""
+    return np.round(rng.normal(size=n) * 2.0 ** 20) / 2.0 ** 20
+
+
+ORACLE_LENGTHS = (1, 2, 63, 64, 65, 700, 4097, 20000)
+
+
+def assert_matches(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestAgainstDifferenceEquation:
+    @pytest.mark.parametrize("args", [
+        (6, 35.0, 200.0), (6, 35.0, 300.0), (6, 35.0, 500.0),
+        (2, 10.0, 100.0), (3, 10.0, 100.0), (5, 20.0, 300.0),
+        (8, 40.0, 300.0),
+        (8, 0.7, 360.0)])  # the long tail: runs the block recursion
+    def test_cascade(self, args):
+        c = dsp.design_butterworth_lowpass(*args)
+        rng = np.random.default_rng(int(args[2]) + args[0])
+        for n in ORACLE_LENGTHS:
+            x = random_input(rng, n)
+            assert_matches(dsp.apply_filter(c, x), cascade_loop(c, x))
+
+    def test_long_tail_is_not_truncated(self):
+        assert dsp.design_butterworth_lowpass(8, 0.7, 360.0).taps is None
+
+    @pytest.mark.parametrize("filt", [pt_lowpass(), pt_highpass(),
+                                      RationalFilter(num=[0.5, 0.25],
+                                                     den=[2.0, -1.8])],
+                             ids=["pt_lowpass", "pt_highpass", "one_pole"])
+    def test_rational(self, filt):
+        rng = np.random.default_rng(7)
+        for n in ORACLE_LENGTHS:
+            x = random_input(rng, n)
+            assert_matches(dsp.apply_filter(filt, x), rational_loop(filt, x))
+
+    def test_pan_tompkins_filters_are_short_firs(self):
+        # (1 - z^-6)^2 / (1 - z^-1)^2 = (1 + z^-1 + ... + z^-5)^2
+        assert pt_lowpass().taps.tolist() == np.convolve(
+            np.ones(6), np.ones(6)).tolist()
+        # 32 z^-16 minus the 32-point moving sum
+        expected = -np.ones(32)
+        expected[16] += 32.0
+        assert pt_highpass().taps.tolist() == expected.tolist()
+
+    def test_one_pole_is_not_fir(self):
+        assert RationalFilter(num=[1.0], den=[1.0, -0.5]).taps is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3000))
+    def test_random_stable_sections(self, data, n):
+        sections = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):  # a conjugate pair
+                r = data.draw(st.floats(0.0, 0.95))
+                theta = data.draw(st.floats(0.0, np.pi))
+                a1, a2 = -2.0 * r * np.cos(theta), r * r
+            else:  # two real poles
+                p, q = (data.draw(st.floats(-0.95, 0.95)) for _ in range(2))
+                a1, a2 = -(p + q), p * q
+            b = [data.draw(st.floats(0.1, 2.0)) * data.draw(
+                st.sampled_from([-1.0, 1.0])) for _ in range(3)]
+            sections.append(b + [a1, a2])
+        c = IirCascade(sections=sections,
+                       gain=data.draw(st.floats(0.1, 10.0)))
+        x = random_input(np.random.default_rng(n), n)
+        ref = cascade_loop(c, x)
+        assert_matches(dsp.apply_filter(c, x), ref)
+        assert_matches(dsp._run_stages(c._stages, x), ref)  # block route
+
+
+class TestButterworthPoles:
+    @pytest.mark.parametrize("order,fc,fs", [(2, 10.0, 100.0),
+                                             (3, 10.0, 100.0),
+                                             (4, 35.0, 200.0),
+                                             (6, 35.0, 300.0),
+                                             (8, 40.0, 300.0)])
+    def test_poles_are_the_mapped_prototype(self, order, fc, fs):
+        c = dsp.design_butterworth_lowpass(order, fc, fs)
+        k = np.arange(order)
+        analog = np.exp(1j * np.pi * (2 * k + order + 1) / (2 * order))
+        warped = 2.0 * fs * np.tan(np.pi * fc / fs)  # prewarped cutoff
+        expected = (2.0 * fs + warped * analog) / (2.0 * fs - warped * analog)
+        designed = np.concatenate([np.roots([1.0, a1, a2])
+                                   for *_, a1, a2 in c.sections])
+        designed = designed[designed != 0]  # a first-order section's a2 = 0
+        assert designed.size == order
+        for p in expected:
+            assert np.min(np.abs(designed - p)) < 1e-12
+        # scipy's order: the pair nearest the unit circle last, and an odd
+        # order's single real pole in a first-order section first
+        radii = [np.max(np.abs(np.roots([1.0, a1, a2])))
+                 for *_, a1, a2 in c.sections]
+        assert radii == sorted(radii)
+        if order % 2:
+            assert c.sections[0, 2] == 0.0 and c.sections[0, 4] == 0.0
+        assert len(c.sections) == (order + 1) // 2
+
+    @pytest.mark.parametrize("args", [(6, 35.0, 200.0), (6, 35.0, 300.0),
+                                      (3, 10.0, 100.0)])
+    def test_every_section_has_unit_dc_gain(self, args):
+        c = dsp.design_butterworth_lowpass(*args)
+        assert c.gain == 1.0
+        for b0, b1, b2, a1, a2 in c.sections:
+            assert (b0 + b1 + b2) / (1.0 + a1 + a2) == pytest.approx(
+                1.0, abs=1e-15)
+
+
+def test_cli_import_loads_no_scipy():
+    """The cold start of every command: scipy must stay out of it."""
+    src = Path(dsp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, ecgscalo.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

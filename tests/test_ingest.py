@@ -306,3 +306,45 @@ class TestRecordInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             EcgRecord(id="x", fs=200.0, samples=np.array([1.0, np.nan]))
+
+
+class TestFsSource:
+    """Every loader says where the rate came from."""
+
+    def test_given(self):
+        assert EcgRecord(id="x", fs=300.0, samples=np.ones(4)).fs_source \
+            == "given"
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(ValueError, match="fs_source"):
+            EcgRecord(id="x", fs=300.0, samples=np.ones(4), fs_source="guess")
+
+    @pytest.mark.parametrize("sidecar,source", [
+        (None, "default"), ({"id": "X"}, "default"),
+        ({"id": "X", "fs": 300.0}, "sidecar")])
+    def test_csv(self, tmp_path, sidecar, source):
+        p = tmp_path / "r.csv"
+        p.write_text("0.5\n")
+        if sidecar is not None:
+            (tmp_path / "r.json").write_text(json.dumps(sidecar))
+        assert ingest.load_record(p).fs_source == source
+
+    def test_raw16(self, tmp_path):
+        rec = EcgRecord(id="R", fs=250.0, samples=np.ones(4), scale=1e-3)
+        ingest.write_raw16(rec, tmp_path / "r.raw16")
+        assert ingest.load_record(tmp_path / "r.raw16").fs_source == "sidecar"
+
+    @pytest.mark.parametrize("header,sidecar,fs,source", [
+        (None, None, ingest.DEFAULT_FS, "default"),
+        ("r 1 300 2\nr.mat 16 1000/mV\n", None, 300.0, "header"),
+        ("r 1 300 2\nr.mat 16 1000/mV\n", {"fs": 128.0}, 128.0, "sidecar"),
+        (None, {"scale": 1e-3}, ingest.DEFAULT_FS, "default")])
+    def test_mat5(self, tmp_path, header, sidecar, fs, source):
+        p = tmp_path / "r.mat"
+        write_minimal_mat(p, [1, 2])
+        if header is not None:
+            (tmp_path / "r.hea").write_text(header)
+        if sidecar is not None:
+            (tmp_path / "r.json").write_text(json.dumps(sidecar))
+        rec = ingest.load_record(p)
+        assert (rec.fs, rec.fs_source) == (fs, source)

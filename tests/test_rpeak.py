@@ -266,6 +266,44 @@ class TestThresholdScan:
         scans_agree(x)
 
 
+def reference_refine(bp, anchors, half):
+    """The refinement as first written: one argmax per accepted beat over
+    its window clipped to the signal. Kept as the oracle for
+    ``rpeak._refine``."""
+    refined = []
+    for c in anchors:
+        lo, hi = max(0, c - half), min(bp.size, c + half + 1)
+        refined.append(int(lo + np.argmax(bp[lo:hi])))
+    return refined
+
+
+class TestRefine:
+    def test_matches_reference_on_synthetic_records(self):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            rec, _ = synth_ecg(SynthSpec(
+                duration=30.0, bpm=rng.uniform(40.0, 190.0),
+                noise_sigma=rng.uniform(0.0, 0.3), seed=seed))
+            chain = rpeak.pt_chain(np.concatenate([rec.samples,
+                                                   np.zeros(80)]))
+            anchors = scans_agree(rec.samples)
+            assert rpeak._refine(chain.bandpassed, anchors, 20).tolist() \
+                == reference_refine(chain.bandpassed, anchors, 20)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+           count=st.integers(0, 30), half=st.integers(0, 25),
+           levels=st.integers(1, 5))
+    def test_matches_reference_on_random_signals(self, seed, n, count, half,
+                                                 levels):
+        # few distinct levels make ties common; anchors reach both ends
+        rng = np.random.default_rng(seed)
+        bp = rng.integers(0, levels, n).astype(np.float64)
+        anchors = sorted(rng.integers(0, n, count).tolist())
+        assert rpeak._refine(bp, anchors, half).tolist() \
+            == reference_refine(bp, anchors, half)
+
+
 class TestDetectProperties:
     @settings(max_examples=60, deadline=None)
     @given(fs=st.sampled_from([200.0, 250.0, 300.0, 360.0]), data=st.data())

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import decimal
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -45,7 +45,6 @@ TAIL_BOUND = 1e-17  # dropped impulse-response tail, relative to its peak
 MAX_FIR_TAPS = 4096  # longest impulse response applied as an FIR
 BLOCK = 64  # samples per Python step of the block recursion
 DIRECT_CONVOLVE_MAX = 64  # taps (or samples) up to which np.convolve wins
-SPECTRA_MEMO_ENTRIES = 32  # tap spectra one filter keeps, one per FFT length
 
 
 def fft_size(n: int) -> int:
@@ -71,8 +70,6 @@ class RationalFilter:
 
     num: np.ndarray
     den: np.ndarray
-    _spectra: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         num = np.array(self.num, dtype=np.float64, ndmin=1)
@@ -111,8 +108,6 @@ class IirCascade:
 
     sections: np.ndarray  # shape (n, 5)
     gain: float = 1.0
-    _spectra: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         secs = np.array(self.sections, dtype=np.float64, ndmin=2)
@@ -215,7 +210,8 @@ def _run_stages(stages: tuple, x: np.ndarray) -> np.ndarray:
     for num, forms in stages:
         x = np.convolve(x, num)[:n]
         for toeplitz, weights in forms:
-            xb = np.zeros(-(-n // BLOCK) * BLOCK, dtype=toeplitz.dtype)
+            xb = np.zeros(-(-n // BLOCK) * BLOCK,
+                          dtype=np.result_type(x, toeplitz))
             xb[:n] = x
             local = xb.reshape(-1, BLOCK) @ toeplitz.T
             carries, carry, step = [], 0.0, weights[-1]  # step = p^K
@@ -223,28 +219,20 @@ def _run_stages(stages: tuple, x: np.ndarray) -> np.ndarray:
                 carries.append(carry)
                 carry = step * carry + last
             x = (local + np.multiply.outer(carries, weights)).ravel()[:n]
-        x = x.real  # a conjugate pair leaves no imaginary part
+        x = x.real  # the stage's conjugate pairs leave no imaginary part
     return x
 
 
-def _convolve(filt: IirCascade | RationalFilter, x: np.ndarray) -> np.ndarray:
-    """First ``x.size`` samples of ``x`` convolved with ``filt.taps``.
+def _convolve(taps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First ``x.size`` samples of ``x`` convolved with ``taps``.
 
-    Long convolutions run through an FFT long enough not to wrap; the
-    spectrum of the taps is memoised on the filter per transform length.
+    Long convolutions run through an FFT long enough not to wrap.
     """
-    taps = filt.taps
     if min(taps.size, x.size) <= DIRECT_CONVOLVE_MAX:
         return np.convolve(x, taps)[:x.size]
     nfft = fft_size(x.size + taps.size - 1)
-    memo = filt._spectra
-    spectrum = memo.get(nfft)
-    if spectrum is None:
-        spectrum = np.fft.rfft(taps, nfft)
-        if len(memo) >= SPECTRA_MEMO_ENTRIES:
-            memo.pop(next(iter(memo)), None)
-        memo[nfft] = spectrum
-    return np.fft.irfft(np.fft.rfft(x, nfft) * spectrum, nfft)[:x.size]
+    spectrum = np.fft.rfft(x, nfft) * np.fft.rfft(taps, nfft)
+    return np.fft.irfft(spectrum, nfft)[:x.size]
 
 
 @functools.lru_cache(maxsize=32)
@@ -279,16 +267,24 @@ def apply_filter(filt: IirCascade | RationalFilter, x) -> np.ndarray:
     """Run the filter's difference equation with zero initial conditions.
 
     Output length equals input length and the operator is linear in x.
+    An array of more than one dimension is filtered along its last axis.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("input signal contains non-finite samples")
     if not isinstance(filt, (IirCascade, RationalFilter)):
         raise TypeError(f"unsupported filter type {type(filt).__name__}")
+    if x.ndim != 1:
+        if x.ndim == 0:
+            raise ValueError("input signal must be an array, not a scalar")
+        out = np.empty_like(x)
+        for row in np.ndindex(x.shape[:-1]):
+            out[row] = apply_filter(filt, x[row])
+        return out
     if x.size == 0:
         return x.copy()
     if filt.taps is not None:
-        return _convolve(filt, x)
+        return _convolve(filt.taps, x)
     return _run_stages(filt._stages, x)
 
 

@@ -149,6 +149,25 @@ class TestApply:
         with pytest.raises(ValueError):
             dsp.apply_filter(c, np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("filt", [
+        dsp.design_butterworth_lowpass(6, 35.0, 300.0), pt_lowpass(),
+        RationalFilter(num=[1.0], den=[1.0, -0.5])],
+        ids=["cascade", "pt_lowpass", "one_pole"])
+    @pytest.mark.parametrize("shape", [(2, 9000), (3, 40), (2, 1, 70)])
+    def test_filters_along_last_axis(self, filt, shape):
+        x = np.random.default_rng(3).normal(size=shape)
+        y = dsp.apply_filter(filt, x)
+        assert y.shape == x.shape
+        for row in np.ndindex(shape[:-1]):
+            np.testing.assert_array_equal(y[row], dsp.apply_filter(filt, x[row]))
+
+    def test_empty_rows_and_scalars(self):
+        c = dsp.design_butterworth_lowpass(6, 35.0, FS)
+        assert dsp.apply_filter(c, np.zeros((2, 0))).shape == (2, 0)
+        assert dsp.apply_filter(c, np.zeros((0, 5))).shape == (0, 5)
+        with pytest.raises(ValueError, match="scalar"):
+            dsp.apply_filter(c, 1.0)
+
 
 class TestMagnitudeResponse:
     def test_integer_lowpass_dc_limit(self):
@@ -260,13 +279,29 @@ class TestAgainstDifferenceEquation:
 
     @pytest.mark.parametrize("filt", [pt_lowpass(), pt_highpass(),
                                       RationalFilter(num=[0.5, 0.25],
-                                                     den=[2.0, -1.8])],
-                             ids=["pt_lowpass", "pt_highpass", "one_pole"])
+                                                     den=[2.0, -1.8]),
+                                      RationalFilter(num=[1.0, 0.3],
+                                                     den=[1.0, -0.5, 0.3,
+                                                          -0.1])],
+                             ids=["pt_lowpass", "pt_highpass", "one_pole",
+                                  "pair_and_real_pole"])
     def test_rational(self, filt):
         rng = np.random.default_rng(7)
         for n in ORACLE_LENGTHS:
             x = random_input(rng, n)
             assert_matches(dsp.apply_filter(filt, x), rational_loop(filt, x))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1)],
+                             ids=["pair_first", "real_between", "real_first"])
+    def test_block_route_in_any_pole_order(self, order):
+        # den = (1 - p z^-1)(1 - conj(p) z^-1)(1 - r z^-1)
+        filt = RationalFilter(num=[1.0, 0.3], den=[1.0, -0.5, 0.3, -0.1])
+        roots = np.roots(filt.den)
+        pair, real = roots[roots.imag != 0], roots[roots.imag == 0]
+        poles = np.concatenate([pair[:1], pair[1:], real])[list(order)]
+        stage = dsp._stage(filt.num, poles)
+        x = random_input(np.random.default_rng(11), 700)
+        assert_matches(dsp._run_stages((stage,), x), rational_loop(filt, x))
 
     def test_pan_tompkins_filters_are_short_firs(self):
         # (1 - z^-6)^2 / (1 - z^-1)^2 = (1 + z^-1 + ... + z^-5)^2

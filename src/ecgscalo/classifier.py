@@ -60,8 +60,7 @@ class NetworkConfig:
                 f"divisible by 2^{halvings} stage halvings")
 
 
-def resnet34_config(input_height: int = 64,
-                    input_width: int = 256) -> NetworkConfig:
+def resnet34_config(input_height: int, input_width: int) -> NetworkConfig:
     """Deep preset with the classic 4-stage (3, 4, 6, 3) layout."""
     return NetworkConfig(stage_widths=(64, 128, 256, 512),
                          blocks_per_stage=(3, 4, 6, 3),
@@ -189,14 +188,6 @@ def _conv_backward(dy, cache, need_dx=True):
     return dxp[:, :, ph:xp.shape[2] - ph, pw:xp.shape[3] - pw], dw, db
 
 
-def _relu_forward(x):
-    return np.maximum(x, 0.0), x > 0
-
-
-def _relu_backward(dy, mask):
-    return dy * mask
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -227,121 +218,87 @@ def _check_batch(config: NetworkConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _run(model: Model, x: np.ndarray, keep_caches: bool):
-    """Shared forward pass; returns (logits, caches or None)."""
+def _unwind(tape: list, dy):
+    """Pop and run the backward steps of ``tape`` last to first, so each
+    step's cache is freed once it has been used."""
+    while tape:
+        dy = tape.pop()(dy)
+    return dy
+
+
+def _finite(t: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(t)):
+        raise FloatingPointError(f"non-finite activation after {name}")
+    return t
+
+
+def _run(model: Model, x: np.ndarray, grads: dict | None = None):
+    """Shared forward pass.
+
+    Returns the logits. Given a ``grads`` dict, it also returns a
+    ``backward(dlogits)`` that fills it: every layer records its own
+    backward step on a tape as it runs, and a residual block records one
+    step that unwinds its main-path and shortcut sub-tapes.
+    """
     p = model.params
-    caches = [] if keep_caches else None
 
-    def conv(t, name, stride):
-        y, c = _conv_forward(t, p[f"{name}.w"], p[f"{name}.b"], stride)
-        if keep_caches:
-            caches.append(("conv", name, c))
+    def conv(t, name, stride, tape, need_dx=True):
+        y, cache = _conv_forward(t, p[f"{name}.w"], p[f"{name}.b"], stride)
+        if grads is not None:
+            def back(dy):
+                dx, grads[f"{name}.w"], grads[f"{name}.b"] = _conv_backward(
+                    dy, cache, need_dx)
+                return dx
+            tape.append(back)
         return y
 
-    def relu(t):
-        y, mask = _relu_forward(t)
-        if keep_caches:
-            caches.append(("relu", None, mask))
-        return y
+    def relu(t, tape):
+        if grads is not None:
+            mask = t > 0
+            tape.append(lambda dy: dy * mask)
+        return np.maximum(t, 0.0)
 
-    t = relu(conv(x, "stem", 1))
-    assert np.all(np.isfinite(t)), "non-finite activation after stem"
+    tape = []
+    t = _finite(relu(conv(x, "stem", 1, tape, need_dx=False), tape), "stem")
     for name, _cin, _cout, stride, proj in _blocks(model.config):
-        inner = relu(conv(t, f"{name}.conv1", stride))
-        inner = conv(inner, f"{name}.conv2", 1)
-        shortcut = conv(t, f"{name}.proj", stride) if proj else t
-        if keep_caches:
-            caches.append(("add", name if proj else None, None))
-        t = relu(inner + shortcut)
-        assert np.all(np.isfinite(t)), f"non-finite activation after {name}"
-
+        main, short = [], []
+        inner = relu(conv(t, f"{name}.conv1", stride, main), main)
+        inner = conv(inner, f"{name}.conv2", 1, main)
+        shortcut = conv(t, f"{name}.proj", stride, short) if proj else t
+        if grads is not None:
+            def back(dy, main=main, short=short):  # bind this block's tapes
+                dshort = _unwind(short, dy)
+                return _unwind(main, dy) + dshort
+            tape.append(back)
+        t = _finite(relu(inner + shortcut, tape), name)
     pooled = t.mean(axis=(2, 3))
-    if keep_caches:
-        caches.append(("gap", None, t.shape))
     logits = pooled @ p["head.w"].T + p["head.b"]
-    if keep_caches:
-        caches.append(("head", None, pooled))
-    return logits, caches
+    if grads is None:
+        return logits
+    shape = t.shape
+
+    def backward(dlogits):
+        grads["head.w"] = dlogits.T @ pooled
+        grads["head.b"] = dlogits.sum(axis=0)
+        dpooled = dlogits @ p["head.w"]
+        scale = 1.0 / (shape[2] * shape[3])
+        _unwind(tape, np.broadcast_to(dpooled[:, :, None, None] * scale,
+                                      shape).copy())
+    return logits, backward
 
 
 def forward(model: Model, batch) -> np.ndarray:
     """Logits [B, 4] for a batch [B, 1, H, W]; deterministic and stateless."""
-    x = _check_batch(model.config, batch)
-    logits, _ = _run(model, x, keep_caches=False)
-    return logits
+    return _run(model, _check_batch(model.config, batch))
 
 
 def loss_and_grad(model: Model, batch, labels) -> tuple[float, dict[str, np.ndarray]]:
     """Mean softmax cross-entropy plus gradients for every parameter."""
-    x = _check_batch(model.config, batch)
-    logits, caches = _run(model, x, keep_caches=True)
+    grads = dict.fromkeys(model.params)
+    logits, backward = _run(model, _check_batch(model.config, batch), grads)
     loss, dlogits = softmax_cross_entropy(logits, labels)
-
-    p = model.params
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
-
-    kind, _, pooled = caches.pop()
-    assert kind == "head"
-    grads["head.w"] = dlogits.T @ pooled
-    grads["head.b"] = dlogits.sum(axis=0)
-    dpooled = dlogits @ p["head.w"]
-
-    kind, _, t_shape = caches.pop()
-    assert kind == "gap"
-    scale = 1.0 / (t_shape[2] * t_shape[3])
-    dt = np.broadcast_to(dpooled[:, :, None, None] * scale,
-                         t_shape).copy()
-
-    blocks = list(_blocks(model.config))
-    for name, _cin, _cout, stride, proj in reversed(blocks):
-        kind, _, mask = caches.pop()
-        assert kind == "relu"
-        dsum = _relu_backward(dt, mask)
-
-        if proj:
-            kind, _, _ = caches.pop()  # add marker
-            kind, cname, c = caches.pop()
-            assert kind == "conv" and cname == f"{name}.proj"
-            dshort, dw, db = _conv_backward(dsum, c)
-            grads[f"{name}.proj.w"] = dw
-            grads[f"{name}.proj.b"] = db
-        else:
-            caches.pop()  # add marker
-            dshort = dsum
-
-        kind, cname, c = caches.pop()
-        assert kind == "conv" and cname == f"{name}.conv2"
-        dinner, dw, db = _conv_backward(dsum, c)
-        grads[f"{name}.conv2.w"] = dw
-        grads[f"{name}.conv2.b"] = db
-
-        kind, _, mask = caches.pop()
-        assert kind == "relu"
-        dinner = _relu_backward(dinner, mask)
-        kind, cname, c = caches.pop()
-        assert kind == "conv" and cname == f"{name}.conv1"
-        dfirst, dw, db = _conv_backward(dinner, c)
-        grads[f"{name}.conv1.w"] = dw
-        grads[f"{name}.conv1.b"] = db
-
-        dt = dfirst + dshort
-
-    kind, _, mask = caches.pop()
-    assert kind == "relu"
-    dt = _relu_backward(dt, mask)
-    kind, cname, c = caches.pop()
-    assert kind == "conv" and cname == "stem"
-    _, dw, db = _conv_backward(dt, c, need_dx=False)
-    grads["stem.w"] = dw
-    grads["stem.b"] = db
-    assert not caches
+    backward(dlogits)
     return loss, grads
-
-
-def _loss_only(model: Model, x: np.ndarray, labels) -> float:
-    logits, _ = _run(model, x, keep_caches=False)
-    loss, _ = softmax_cross_entropy(logits, labels)
-    return loss
 
 
 def gradient_check(model: Model, batch, labels,
@@ -360,9 +317,9 @@ def gradient_check(model: Model, batch, labels,
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up = _loss_only(model, x, labels)
+            up = softmax_cross_entropy(_run(model, x), labels)[0]
             flat[i] = keep - step
-            down = _loss_only(model, x, labels)
+            down = softmax_cross_entropy(_run(model, x), labels)[0]
             flat[i] = keep
             fd = (up - down) / (2.0 * step)
             g = grads[name].ravel()[i]
@@ -402,7 +359,7 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
             batch_no = start // tcfg.batch_size
             try:
                 loss, grads = loss_and_grad(model, x_all[sel], y_all[sel])
-            except AssertionError as exc:  # non-finite activation
+            except FloatingPointError as exc:
                 raise RuntimeError(
                     f"training diverged (epoch {epoch}, batch {batch_no}: "
                     f"{exc})") from exc
@@ -443,8 +400,7 @@ def _to_real(image, net: NetworkConfig) -> np.ndarray:
 def predict(model: Model, image) -> EcgClass:
     """Class of a single image; ties break toward the lower class index."""
     x = _to_real(image, model.config)[None, None, :, :]
-    logits, _ = _run(model, x, keep_caches=False)
-    return EcgClass(int(np.argmax(logits[0])))
+    return EcgClass(int(np.argmax(_run(model, x)[0])))
 
 
 def accuracy(model: Model, dataset) -> float:
@@ -485,13 +441,7 @@ def load_model(path) -> Model:
             raise ValueError("not a model checkpoint (bad magic)")
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        cfg = header["config"]
-        config = NetworkConfig(
-            stage_widths=tuple(cfg["stage_widths"]),
-            blocks_per_stage=tuple(cfg["blocks_per_stage"]),
-            input_height=cfg["input_height"],
-            input_width=cfg["input_width"],
-            num_classes=cfg["num_classes"])
+        config = NetworkConfig(**header["config"])
         params: dict[str, np.ndarray] = {}
         for name, shape in header["params"]:
             count = int(np.prod(shape))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ecgscalo import classifier, ingest, metrics, pipeline, scalogram
+from ecgscalo import classifier, ingest, metrics, pipeline, rpeak, scalogram
 from ecgscalo.config import PipelineConfig, load_config, save_config
 from ecgscalo.ingest import CLASS_SYMBOLS, EcgClass
 
@@ -57,9 +57,9 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
-def _load_record(path, fmt=None) -> ingest.EcgRecord:
+def _load_record(path, cfg: PipelineConfig, fmt=None) -> ingest.EcgRecord:
     """Load one record; say on stderr when its rate is only the default."""
-    record = ingest.load_record(path, fmt)
+    record = ingest.load_record(path, fmt, default_fs=cfg.fs_default)
     if record.fs_source == "default":
         print(json.dumps({"warning": {
             "stage": "ingest", "record": record.id,
@@ -81,7 +81,7 @@ def cmd_preprocess(args) -> int:
     """Raw record in, Butterworth-filtered csv (with fs sidecar) out."""
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = _load_record(args.input, args.format)
+        record = _load_record(args.input, cfg, args.format)
     with _stage("preprocess"):
         filtered = pipeline.preprocess(record, cfg)
         _write_samples_csv(filtered, args.output)
@@ -95,7 +95,7 @@ def cmd_detect(args) -> int:
     """Detect R peaks on the record as given (chained after preprocess)."""
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = _load_record(args.input, args.format)
+        record = _load_record(args.input, cfg, args.format)
     with _stage("detect"):
         peaks = pipeline.detect(record, cfg, filtered=record.samples)
         Path(args.output).write_text(
@@ -103,9 +103,8 @@ def cmd_detect(args) -> int:
         if args.taps:
             taps_dir = Path(args.taps)
             taps_dir.mkdir(parents=True, exist_ok=True)
-            from ecgscalo.rpeak import pt_chain
-            chain = pt_chain(record.samples, record.fs,
-                             cfg.detector.integration_window)
+            chain = rpeak.detection_chain(record,
+                                          cfg.detector.integration_window)
             for name in ("bandpassed", "derivative", "squared", "integrated"):
                 _write_samples_csv(getattr(chain, name),
                                    taps_dir / f"{record.id}.{name}.csv")
@@ -117,15 +116,14 @@ def cmd_featurize(args) -> int:
     fresh detection pass (both yield identical output)."""
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = _load_record(args.input, args.format)
+        record = _load_record(args.input, cfg, args.format)
     with _stage("featurize"):
         peaks = None
         if args.peaks:
             indices = [int(line) for line in
                        Path(args.peaks).read_text().split()]
-            from ecgscalo.rpeak import RPeaks
-            peaks = RPeaks(indices=np.asarray(indices, dtype=np.int64),
-                           fs=record.fs)
+            peaks = rpeak.RPeaks(indices=np.asarray(indices, dtype=np.int64),
+                                 fs=record.fs)
         wave = pipeline.feature_wave(record, cfg, filtered=record.samples,
                                      peaks=peaks)
         _write_samples_csv(wave.samples, args.output)
@@ -154,7 +152,7 @@ def cmd_scalogram(args) -> int:
             scalo = pipeline.feature_to_scalogram(wave, cfg)
             image = scalogram.to_grayscale(scalo)
         else:
-            record = _load_record(args.input, args.format)
+            record = _load_record(args.input, cfg, args.format)
             out = pipeline.run_record(record, cfg)
             scalo, image = out.scalo, out.image
         if args.image_format == "pgm":
@@ -164,10 +162,10 @@ def cmd_scalogram(args) -> int:
     return 0
 
 
-def _load_dataset(data_dir, labels_path):
+def _load_dataset(data_dir, labels_path, cfg: PipelineConfig):
     labels = ingest.load_labels(labels_path)
     paths = _discover_records(data_dir)
-    records = [_load_record(p) for p in paths]
+    records = [_load_record(p, cfg) for p in paths]
     missing = ingest.unlabeled_ids(labels, [r.id for r in records])
     if missing:
         raise ValueError(
@@ -178,7 +176,7 @@ def _load_dataset(data_dir, labels_path):
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        records, labels = _load_dataset(args.data_dir, args.labels)
+        records, labels = _load_dataset(args.data_dir, args.labels, cfg)
     with _stage("pipeline"):
         wavelet = scalogram.build_db4(cfg.scalogram.iterations)
         dataset = [(pipeline.record_to_input(r, cfg, wavelet),
@@ -194,7 +192,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        records, labels = _load_dataset(args.data_dir, args.labels)
+        records, labels = _load_dataset(args.data_dir, args.labels, cfg)
     with _stage("eval"):
         model = classifier.load_model(args.model)
         wavelet = scalogram.build_db4(cfg.scalogram.iterations)
@@ -225,7 +223,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     with _stage("ingest"):
-        record = _load_record(args.record, args.format)
+        record = _load_record(args.record, cfg, args.format)
     with _stage("predict"):
         model = classifier.load_model(args.model)
         cls = classifier.predict(model, pipeline.record_to_input(record, cfg))
@@ -247,12 +245,11 @@ def cmd_dump_filter(args) -> int:
     cfg = _load_cfg(args)
     with _stage("dsp"):
         from ecgscalo.dsp import design_butterworth_lowpass
-        from ecgscalo.rpeak import pt_highpass, pt_lowpass
 
         fs = args.fs if args.fs else cfg.fs_default
         cascade = design_butterworth_lowpass(
             cfg.butterworth.order, cfg.butterworth.cutoff_hz, fs)
-        lp, hp = pt_lowpass(), pt_highpass()
+        lp, hp = rpeak.pt_lowpass(), rpeak.pt_highpass()
         dump = {
             "butterworth": {
                 "order": cfg.butterworth.order,

@@ -1,17 +1,23 @@
 """Pipeline configuration: one JSON document holding every tunable default.
 
 Each knob that the algorithms leave open (cutoffs, band limits, lengths,
-scale counts, network and training shapes, the seed) lives here so a single
-file pins a reproducible run. ``load(save(cfg)) == cfg`` exactly.
+scale counts, network and training shapes, the seed) is a field of a frozen
+dataclass beside the code that reads it; ``PipelineConfig`` nests them all,
+so a single file pins a reproducible run. ``load(save(cfg)) == cfg`` exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 from ecgscalo.classifier import NetworkConfig, TrainConfig
+from ecgscalo.featurize import GateConfig
+from ecgscalo.ingest import DEFAULT_FS
+from ecgscalo.rpeak import DetectorConfig
+from ecgscalo.scalogram import ScalogramConfig
 
 
 @dataclass(frozen=True)
@@ -21,43 +27,8 @@ class ButterworthConfig:
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    integration_window: int = 30
-    refractory_s: float = 0.2
-    threshold_fraction: float = 0.25
-    update_factor: float = 0.125
-    searchback_factor: float = 1.66
-    init_window_s: float = 2.0
-
-    def __post_init__(self):
-        if self.integration_window < 1:
-            raise ValueError("integration window must be >= 1")
-        if self.refractory_s <= 0 or self.init_window_s <= 0:
-            raise ValueError("refractory and init window must be positive")
-        if not 0 < self.update_factor <= 1 or not 0 < self.threshold_fraction <= 1:
-            raise ValueError("update/threshold factors must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    bpm_low: float = 30.0
-    bpm_high: float = 200.0
-
-    def __post_init__(self):
-        if not 0 < self.bpm_low < self.bpm_high:
-            raise ValueError("need 0 < bpm_low < bpm_high")
-
-
-@dataclass(frozen=True)
-class ScalogramConfig:
-    num_scales: int = 64
-    iterations: int = 10  # wavelet table resolution 2^iterations
-    stride: int = 1
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
-    fs_default: float = 200.0
+    fs_default: float = DEFAULT_FS  # rate of records without sidecar or header
     butterworth: ButterworthConfig = field(default_factory=ButterworthConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     gate: GateConfig = field(default_factory=GateConfig)
@@ -65,11 +36,15 @@ class PipelineConfig:
     scalogram: ScalogramConfig = field(default_factory=ScalogramConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
+    seed: int = TrainConfig.seed
 
     def __post_init__(self):
         if self.fs_default <= 0:
             raise ValueError("fs_default must be positive")
+        if self.seed != self.training.seed:
+            raise ValueError(
+                f"seed {self.seed} differs from training.seed "
+                f"{self.training.seed}; set both to one value")
         if self.feature_length < 2:
             raise ValueError("feature_length must be >= 2")
         if self.scalogram.num_scales < 1 or self.scalogram.iterations < 4:
@@ -82,44 +57,23 @@ class PipelineConfig:
                 f"{self.network.input_height}x{self.network.input_width}")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
-        training = TrainConfig(
-            learning_rate=self.training.learning_rate,
-            momentum=self.training.momentum,
-            batch_size=self.training.batch_size,
-            epochs=self.training.epochs, seed=seed)
-        return PipelineConfig(
-            fs_default=self.fs_default, butterworth=self.butterworth,
-            detector=self.detector, gate=self.gate,
-            feature_length=self.feature_length, scalogram=self.scalogram,
-            network=self.network, training=training, seed=seed)
+        return replace(self, seed=seed,
+                       training=replace(self.training, seed=seed))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(
-            fs_default=d["fs_default"],
-            butterworth=ButterworthConfig(**d["butterworth"]),
-            detector=DetectorConfig(**d["detector"]),
-            gate=GateConfig(**d["gate"]),
-            feature_length=d["feature_length"],
-            scalogram=ScalogramConfig(**d["scalogram"]),
-            network=NetworkConfig(
-                stage_widths=tuple(d["network"]["stage_widths"]),
-                blocks_per_stage=tuple(d["network"]["blocks_per_stage"]),
-                input_height=d["network"]["input_height"],
-                input_width=d["network"]["input_width"],
-                num_classes=d["network"]["num_classes"]),
-            training=TrainConfig(**d["training"]),
-            seed=d["seed"])
+def _from_dict(cls, d: dict):
+    """Rebuild dataclass ``cls``, and each dataclass field, from ``asdict``."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _from_dict(hints[k], v)
+                  if is_dataclass(hints.get(k)) else v
+                  for k, v in d.items()})
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2),
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2),
                           encoding="utf-8")
 
 
 def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")))
+    return _from_dict(PipelineConfig,
+                      json.loads(Path(path).read_text(encoding="utf-8")))

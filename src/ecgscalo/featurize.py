@@ -15,9 +15,17 @@ import numpy as np
 
 from ecgscalo.rpeak import RPeaks
 
-DEFAULT_LENGTH = 1024
-BPM_LOW = 30.0
-BPM_HIGH = 200.0
+
+@dataclass(frozen=True)
+class GateConfig:
+    """Closed band of plausible sustained heart rates, in beats per minute."""
+
+    bpm_low: float = 30.0
+    bpm_high: float = 200.0
+
+    def __post_init__(self):
+        if not 0 < self.bpm_low < self.bpm_high:
+            raise ValueError("need 0 < bpm_low < bpm_high")
 
 
 @dataclass
@@ -35,19 +43,18 @@ class FeatureWave:
 
 
 def gate_noise(peaks: RPeaks, duration: float,
-               bpm_low: float = BPM_LOW, bpm_high: float = BPM_HIGH) -> bool:
+               gate: GateConfig = GateConfig()) -> bool:
     """True (gate as noise) iff the peak count is outside the closed band
     [ceil(duration * bpm_low / 60), floor(duration * bpm_high / 60)]."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    low = math.ceil(duration * bpm_low / 60.0)
-    high = math.floor(duration * bpm_high / 60.0)
+    low = math.ceil(duration * gate.bpm_low / 60.0)
+    high = math.floor(duration * gate.bpm_high / 60.0)
     return not (low <= peaks.count <= high)
 
 
-def extract_feature_wave(samples, peaks: RPeaks, length: int = DEFAULT_LENGTH,
-                         *, bpm_low: float = BPM_LOW,
-                         bpm_high: float = BPM_HIGH,
+def extract_feature_wave(samples, peaks: RPeaks, length: int,
+                         gate: GateConfig = GateConfig(),
                          source_id: str = "") -> FeatureWave:
     """Cut four cardiac cycles from the middle of a filtered record.
 
@@ -59,7 +66,7 @@ def extract_feature_wave(samples, peaks: RPeaks, length: int = DEFAULT_LENGTH,
     """
     samples = np.asarray(samples, dtype=np.float64)
     duration = samples.size / peaks.fs
-    gated = gate_noise(peaks, duration, bpm_low, bpm_high) or peaks.count < 6
+    gated = gate_noise(peaks, duration, gate) or peaks.count < 6
     if gated:
         return FeatureWave(samples=np.zeros(length), is_noise_gated=True,
                            source_id=source_id)

@@ -62,7 +62,7 @@ class EcgRecord:
     factor that was applied at load time (1.0 when the source was already
     real-valued). ``fs_source`` says where ``fs`` came from: ``"given"`` by
     the caller, a JSON ``"sidecar"``, a WFDB ``"header"``, or the
-    ``"default"`` ``DEFAULT_FS`` when the file had neither.
+    ``"default"`` rate of the loader when the file had neither.
     """
 
     id: str
@@ -119,11 +119,14 @@ def _read_sidecar(path: Path) -> dict | None:
         return json.load(fh)
 
 
-def load_record(path, fmt: str | None = None) -> EcgRecord:
+def load_record(path, fmt: str | None = None,
+                default_fs: float = DEFAULT_FS) -> EcgRecord:
     """Load one record from disk.
 
     ``fmt`` is one of ``csv`` / ``raw16`` / ``mat5``; when omitted it is
-    inferred from the file extension (.csv, .raw16/.bin, .mat).
+    inferred from the file extension (.csv, .raw16/.bin, .mat). A csv or
+    mat5 record whose rate no sidecar or header gives is read at
+    ``default_fs``.
     """
     path = Path(path)
     if fmt is None:
@@ -133,15 +136,15 @@ def load_record(path, fmt: str | None = None) -> EcgRecord:
         if fmt is None:
             raise FormatError(f"cannot infer format from extension {ext!r}")
     if fmt == "csv":
-        return _load_csv(path)
+        return _load_csv(path, default_fs)
     if fmt == "raw16":
         return _load_raw16(path)
     if fmt == "mat5":
-        return _load_mat5(path)
+        return _load_mat5(path, default_fs)
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _load_csv(path: Path) -> EcgRecord:
+def _load_csv(path: Path, default_fs: float) -> EcgRecord:
     data = path.read_bytes()
     values = []
     offset = 0
@@ -149,10 +152,14 @@ def _load_csv(path: Path) -> EcgRecord:
         text = line.strip()
         if text:
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise FormatError(
                     f"unparseable amplitude {text[:40]!r}", offset) from None
+            if not math.isfinite(value):
+                raise FormatError(
+                    f"non-finite amplitude {text[:40]!r}", offset)
+            values.append(value)
         elif offset + len(line) + 1 < len(data):
             # blank line in the middle of the file
             raise FormatError("blank line inside csv record", offset)
@@ -161,7 +168,7 @@ def _load_csv(path: Path) -> EcgRecord:
         raise FormatError("empty signal", 0)
     meta = _read_sidecar(path) or {}
     return EcgRecord(id=meta.get("id", path.stem),
-                     fs=float(meta.get("fs", DEFAULT_FS)),
+                     fs=float(meta.get("fs", default_fs)),
                      samples=np.array(values),
                      scale=float(meta.get("scale", 1.0)),
                      fs_source="sidecar" if "fs" in meta else "default")
@@ -274,7 +281,7 @@ def _mat_tag(data: bytes, off: int) -> tuple[int, int, int, int]:
     return dtype, nbytes, payload, advance
 
 
-def _load_mat5(path: Path) -> EcgRecord:
+def _load_mat5(path: Path, default_fs: float) -> EcgRecord:
     data = path.read_bytes()
     if len(data) < 128:
         raise FormatError("file shorter than the 128-byte header", len(data))
@@ -304,7 +311,7 @@ def _load_mat5(path: Path) -> EcgRecord:
 
     # dimensions
     dtype, n, p, off = _mat_tag(data, off)
-    if dtype != _MI_INT32:
+    if dtype != _MI_INT32 or p + n > len(data):
         raise FormatError("malformed dimensions subelement", off)
     dims = struct.unpack_from(f"<{n // 4}i", data, p)
     if len(dims) != 2 or min(dims) not in (0, 1):
@@ -344,7 +351,7 @@ def _load_mat5(path: Path) -> EcgRecord:
     elif "fs" in header:
         fs, fs_source = float(header["fs"]), "header"
     else:
-        fs, fs_source = DEFAULT_FS, "default"
+        fs, fs_source = default_fs, "default"
     return EcgRecord(id=meta.get("id", path.stem), fs=fs,
                      samples=raw.astype(np.float64) * scale,
                      scale=scale, fs_source=fs_source)

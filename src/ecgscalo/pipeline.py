@@ -41,13 +41,7 @@ def detect(record: EcgRecord, cfg: PipelineConfig,
         filtered = preprocess(record, cfg)
     clean = EcgRecord(id=record.id, fs=record.fs, samples=filtered,
                       scale=record.scale)
-    d = cfg.detector
-    return rpeak.detect_rpeaks(
-        clean, refractory=d.refractory_s,
-        threshold_fraction=d.threshold_fraction,
-        update_factor=d.update_factor,
-        searchback_factor=d.searchback_factor,
-        init_window=d.init_window_s, window=d.integration_window)
+    return rpeak.detect_rpeaks(clean, cfg.detector)
 
 
 def feature_wave(record: EcgRecord, cfg: PipelineConfig,
@@ -58,9 +52,7 @@ def feature_wave(record: EcgRecord, cfg: PipelineConfig,
     if peaks is None:
         peaks = detect(record, cfg, filtered)
     return featurize.extract_feature_wave(
-        filtered, peaks, cfg.feature_length,
-        bpm_low=cfg.gate.bpm_low, bpm_high=cfg.gate.bpm_high,
-        source_id=record.id)
+        filtered, peaks, cfg.feature_length, cfg.gate, source_id=record.id)
 
 
 def feature_to_scalogram(wave: featurize.FeatureWave, cfg: PipelineConfig,

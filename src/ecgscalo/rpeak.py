@@ -28,11 +28,32 @@ from ecgscalo.dsp import RationalFilter, apply_filter
 from ecgscalo.ingest import EcgRecord
 
 DESIGN_FS = 200.0
-INTEGRATION_WINDOW = 30  # samples at 200 Hz
-REFRACTORY_S = 0.2
+# trailing zero-pad so beats near the record end produce complete
+# integration bumps; indices past the record are discarded after refinement
+TAIL_PAD = int(round(0.4 * DESIGN_FS))
 # measured group delay of the band-pass cascade over 5-15 Hz is 20.3-21.5
 # samples: the low-pass is linear phase (5 samples), the high-pass adds ~16
 BANDPASS_DELAY = 21
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Detector parameters; the integration window is in samples at 200 Hz."""
+
+    integration_window: int = 30
+    refractory_s: float = 0.2
+    threshold_fraction: float = 0.25
+    update_factor: float = 0.125
+    searchback_factor: float = 1.66
+    init_window_s: float = 2.0
+
+    def __post_init__(self):
+        if self.integration_window < 1:
+            raise ValueError("integration window must be >= 1")
+        if self.refractory_s <= 0 or self.init_window_s <= 0:
+            raise ValueError("refractory and init window must be positive")
+        if not 0 < self.update_factor <= 1 or not 0 < self.threshold_fraction <= 1:
+            raise ValueError("update/threshold factors must lie in (0, 1]")
 
 
 @functools.cache
@@ -106,7 +127,8 @@ def pt_square(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) ** 2
 
 
-def pt_integrate(x, window: int = INTEGRATION_WINDOW) -> np.ndarray:
+def pt_integrate(x, window: int = DetectorConfig.integration_window
+                 ) -> np.ndarray:
     """Causal moving mean over ``window`` samples with zero-padded history."""
     if window < 1:
         raise ValueError("integration window must be >= 1")
@@ -116,7 +138,7 @@ def pt_integrate(x, window: int = INTEGRATION_WINDOW) -> np.ndarray:
 
 
 def pt_chain(x, fs: float = DESIGN_FS,
-             window: int = INTEGRATION_WINDOW) -> PtChainOutput:
+             window: int = DetectorConfig.integration_window) -> PtChainOutput:
     """Run all four stages and keep every tap."""
     bp = pt_bandpass(x)
     der = pt_derivative(bp, fs)
@@ -124,6 +146,17 @@ def pt_chain(x, fs: float = DESIGN_FS,
     mwi = pt_integrate(sq, window)
     return PtChainOutput(bandpassed=bp, derivative=der, squared=sq,
                          integrated=mwi)
+
+
+def detection_chain(record: EcgRecord, window: int) -> PtChainOutput:
+    """The chain ``detect_rpeaks`` thresholds: the record linearly
+    resampled to 200 Hz, followed by ``TAIL_PAD`` zeros."""
+    x = record.samples
+    if record.fs != DESIGN_FS:
+        n200 = int(round(x.size * DESIGN_FS / record.fs))
+        t200 = np.arange(n200) / DESIGN_FS
+        x = np.interp(t200, np.arange(x.size) / record.fs, x)
+    return pt_chain(np.concatenate([x, np.zeros(TAIL_PAD)]), DESIGN_FS, window)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -217,46 +250,33 @@ def _refine(bp: np.ndarray, anchors: list[int], half: int) -> np.ndarray:
     return idx - half + windows[idx].argmax(axis=1)
 
 
-def detect_rpeaks(record: EcgRecord, *,
-                  refractory: float = REFRACTORY_S,
-                  threshold_fraction: float = 0.25,
-                  update_factor: float = 0.125,
-                  searchback_factor: float = 1.66,
-                  init_window: float = 2.0,
-                  window: int = INTEGRATION_WINDOW) -> RPeaks:
+def detect_rpeaks(record: EcgRecord,
+                  cfg: DetectorConfig = DetectorConfig()) -> RPeaks:
     """Locate R waves with dual adaptive thresholds and searchback.
 
     Thresholding runs on the integrated waveform; each accepted detection is
     refined to the local maximum of the band-passed signal within +-0.1 s and
     compensated for the band-pass group delay, so reported indices line up
     with the R wave in the input record. Thresholds are initialized from the
-    first ``init_window`` seconds of signal statistics, which makes the
+    first ``cfg.init_window_s`` seconds of signal statistics, which makes the
     detected index set invariant to positive rescaling of the input.
     """
     if record.duration < 2.0:
         raise ValueError(
             f"record too short for detection ({record.duration:.3f} s < 2 s)")
 
-    x = record.samples
-    if record.fs != DESIGN_FS:
-        n200 = int(round(x.size * DESIGN_FS / record.fs))
-        t200 = np.arange(n200) / DESIGN_FS
-        x = np.interp(t200, np.arange(x.size) / record.fs, x)
-    n = x.size
-
-    # trailing zero-pad so beats near the record end produce complete
-    # integration bumps; indices past n are discarded after refinement
-    pad = int(round(0.4 * DESIGN_FS))
-    chain = pt_chain(np.concatenate([x, np.zeros(pad)]), DESIGN_FS, window)
+    chain = detection_chain(record, cfg.integration_window)
     mwi, bp = chain.integrated, chain.bandpassed
+    n = mwi.size - TAIL_PAD
 
-    refr = int(round(refractory * DESIGN_FS))
-    init_n = min(int(round(init_window * DESIGN_FS)), n)
+    refr = int(round(cfg.refractory_s * DESIGN_FS))
+    init_n = min(int(round(cfg.init_window_s * DESIGN_FS)), n)
     thr = _Thresholds(signal=float(np.max(mwi[:init_n])),
                       noise=float(np.mean(mwi[:init_n])),
-                      fraction=threshold_fraction, update=update_factor)
+                      fraction=cfg.threshold_fraction,
+                      update=cfg.update_factor)
 
-    anchors = _threshold_scan(mwi, thr, refr, searchback_factor)
+    anchors = _threshold_scan(mwi, thr, refr, cfg.searchback_factor)
 
     # refine to the band-passed local maximum and undo the filter delay
     half = int(round(0.1 * DESIGN_FS))

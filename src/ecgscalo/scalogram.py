@@ -34,11 +34,17 @@ from ecgscalo.dsp import fft_size
 from ecgscalo.featurize import FeatureWave
 
 SUPPORT_END = 7.0  # the 8-tap family lives on [0, 7] in natural wavelet time
-DEFAULT_ITERATIONS = 10
 VANISHING_MOMENTS = 4
 # kernel-spectra sets one table keeps; one set is the default 64 scales of
 # a 1024-sample wave, (64, 769) complex, about 0.8 MB
 SPECTRA_MEMO_ENTRIES = 4
+
+
+@dataclass(frozen=True)
+class ScalogramConfig:
+    num_scales: int = 64
+    iterations: int = 10  # wavelet table resolution 2^iterations
+    stride: int = 1
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,7 @@ def qmf(h: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def build_db4(iterations: int = DEFAULT_ITERATIONS) -> WaveletTable:
+def build_db4(iterations: int) -> WaveletTable:
     """Sample the db4 wavelet at resolution 2^``iterations`` by the cascade.
 
     Starting from the box function, each refinement level convolves with the
@@ -214,7 +220,7 @@ def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
 
 
 def cwt(wave, scales, wavelet: WaveletTable, fs: float,
-        stride: int = 1) -> Scalogram:
+        stride: int = ScalogramConfig.stride) -> Scalogram:
     """Coefficient matrix of the discretized wavelet transform.
 
     ``wave`` is a FeatureWave or a plain 1-D sequence; ``scales`` are the

@@ -1,7 +1,14 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecgscalo
 from ecgscalo import classifier
 from ecgscalo.classifier import (NetworkConfig, TrainConfig,
                                  area_downsample, forward, gradient_check,
@@ -288,6 +295,37 @@ class TestPredict:
                                              batch_size=8, epochs=30, seed=7))
         black = np.zeros((16, 32), dtype=np.uint8)
         assert predict(model, black) == EcgClass.Noise
+
+    def test_non_finite_activation_raises_under_optimize(self, tmp_path):
+        """``python -O`` strips asserts; the guard must still fire."""
+        model = init_model(TINY, seed=8)
+        for tensor in model.params.values():
+            tensor *= 1e200
+        save_model(model, tmp_path / "m.bin")
+        script = (
+            "import numpy as np\n"
+            "from ecgscalo.classifier import load_model, predict\n"
+            f"model = load_model({str(tmp_path / 'm.bin')!r})\n"
+            "try:\n"
+            "    print(predict(model, np.full((8, 16), 200, np.uint8)))\n"
+            "except FloatingPointError as exc:\n"
+            "    print('raised:', exc)\n")
+        src = str(Path(ecgscalo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: non-finite activation after")
+
+
+def test_package_has_no_assert_statements():
+    """Every check in the package survives ``python -O``."""
+    package = Path(ecgscalo.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestCheckpoint:

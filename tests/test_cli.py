@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from ecgscalo import cli, ingest, pipeline, scalogram
+from ecgscalo import cli, ingest, pipeline, rpeak, scalogram
 from ecgscalo.classifier import NetworkConfig, TrainConfig
 from ecgscalo.config import (PipelineConfig, ScalogramConfig, load_config,
                              save_config)
@@ -61,6 +62,18 @@ class TestConfig:
         cfg = small_config(seed=3).with_seed(99)
         assert cfg.seed == 99
         assert cfg.training.seed == 99
+
+    def test_conflicting_seeds_fail_in_config_stage(self, tmp_path, capsys):
+        fields = asdict(PipelineConfig())
+        fields["seed"] = 5  # training.seed stays 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(fields))
+        rc = cli.main(["--config", str(bad), "preprocess",
+                       str(tmp_path / "in.csv"), str(tmp_path / "out.csv")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["stage"] == "config"
+        assert "training.seed" in err["error"]["message"]
 
     def test_incompatible_dimensions_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -174,6 +187,23 @@ class TestCommands:
         assert warning["stage"] == "ingest" and warning["record"] == "bare"
         assert "200 Hz" in warning["message"]
 
+    def test_configured_default_rate_is_used(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = replace(PipelineConfig(), fs_default=300.0)
+        save_config(cfg, cfg_path)
+        rec, _ = synth_ecg(SynthSpec(duration=10.0, bpm=70.0, seed=2))
+        cli._write_samples_csv(rec.samples, tmp_path / "bare.csv")
+        loaded = cli._load_record(tmp_path / "bare.csv", cfg)
+        assert (loaded.fs, loaded.fs_source) == (300.0, "default")
+        capsys.readouterr()
+        rc = cli.main(["--config", str(cfg_path), "preprocess",
+                       str(tmp_path / "bare.csv"), str(tmp_path / "out.csv")])
+        assert rc == 0
+        warning = json.loads(capsys.readouterr().err)["warning"]
+        assert "assuming the default 300 Hz" in warning["message"]
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert sidecar["fs"] == 300.0
+
     def test_record_with_sidecar_prints_nothing(self, tmp_path, capsys):
         rec, _ = synth_ecg(SynthSpec(duration=10.0, bpm=70.0, seed=2))
         ingest.write_raw16(EcgRecord(id="S1", fs=200.0, samples=rec.samples,
@@ -199,6 +229,34 @@ class TestCommands:
         indices = [int(v) for v in
                    (tmp_path / "peaks.csv").read_text().split()]
         assert len(indices) >= 9
+
+    def test_taps_are_the_chain_the_detector_thresholds(self, tmp_path,
+                                                        monkeypatch):
+        rec, _ = synth_ecg(SynthSpec(duration=10.0, bpm=70.0, seed=2,
+                                     fs=300.0))
+        ingest.write_raw16(EcgRecord(id="T3", fs=300.0, samples=rec.samples,
+                                     scale=1e-4), tmp_path / "T3.raw16")
+        rc = cli.main(["detect", str(tmp_path / "T3.raw16"),
+                       str(tmp_path / "peaks.csv"),
+                       "--taps", str(tmp_path / "taps")])
+        assert rc == 0
+        tap = np.array([float(v) for v in
+                        (tmp_path / "taps" / "T3.integrated.csv")
+                        .read_text().split()])
+        n = ingest.load_record(tmp_path / "T3.raw16").samples.size
+        assert tap.size == round(n * 200 / 300) + 80
+
+        thresholded = []
+        real_scan = rpeak._threshold_scan
+
+        def spy(mwi, *args):
+            thresholded.append(mwi)
+            return real_scan(mwi, *args)
+
+        monkeypatch.setattr(rpeak, "_threshold_scan", spy)
+        assert cli.main(["detect", str(tmp_path / "T3.raw16"),
+                         str(tmp_path / "again.csv")]) == 0
+        assert tap.tobytes() == thresholded[0].tobytes()
 
     def test_error_line_is_machine_readable(self, tmp_path, capsys):
         rc = cli.main(["preprocess", str(tmp_path / "missing.csv"),

@@ -58,6 +58,30 @@ class TestLoadCsv:
         with pytest.raises(FormatError, match="byte offset 4"):
             ingest.load_record(p)
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+    def test_non_finite_value_names_byte_offset(self, tmp_path, token):
+        p = tmp_path / "r.csv"
+        p.write_text(f"1.0\n{token}\n")
+        with pytest.raises(FormatError, match="non-finite.*byte offset 4"):
+            ingest.load_record(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.lists(st.sampled_from(
+        ["1", "-2.5", "0", ".", "e", "3e", "1e400", "-1e-400", "nan",
+         "inf", "-Infinity", "1_0", "0x1", "+", "-", " ", "\t", ",",
+         "\r", "\u00e9"]), max_size=4).map("".join), max_size=8),
+        trailing=st.booleans())
+    def test_random_lines_raise_only_format_error(self, tmp_path, lines,
+                                                  trailing):
+        p = tmp_path / "r.csv"
+        p.write_bytes(("\n".join(lines) + "\n" * trailing).encode("utf-8"))
+        try:
+            rec = ingest.load_record(p)
+        except FormatError:
+            return
+        assert rec.samples.size and np.all(np.isfinite(rec.samples))
+
 
 class TestLoadRaw16:
     def test_hand_decoded_fixture(self, tmp_path):
@@ -134,6 +158,26 @@ class TestLoadMat5:
         p.write_bytes(b"short")
         with pytest.raises(FormatError, match="byte offset"):
             ingest.load_record(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_file_raises_only_format_error(self, tmp_path, data):
+        p = tmp_path / "m.mat"
+        write_minimal_mat(p, list(range(-20, 20)))
+        raw = bytearray(p.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="size")]
+        else:
+            for _ in range(data.draw(st.integers(1, 4), label="edits")):
+                at = data.draw(st.integers(0, len(raw) - 1), label="at")
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        p.write_bytes(bytes(raw))
+        try:
+            rec = ingest.load_record(p)
+        except FormatError:
+            return
+        assert rec.samples.size and np.all(np.isfinite(rec.samples))
 
 
 CHALLENGE_HEADER = ("A00001 1 300 {n} 05:05:15 1/05/2000\n"

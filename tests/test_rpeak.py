@@ -318,4 +318,4 @@ class TestDetectProperties:
         # 200 Hz peaks are mapped back to fs by rounding, which can close
         # a gap by at most one sample
         slack = 0 if fs == rpeak.DESIGN_FS else 1
-        assert np.all(np.diff(idx) >= rpeak.REFRACTORY_S * fs - slack)
+        assert np.all(np.diff(idx) >= rpeak.DetectorConfig.refractory_s * fs - slack)

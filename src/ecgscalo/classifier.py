@@ -21,7 +21,6 @@ produce bit-identical models.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -60,13 +59,6 @@ class NetworkConfig:
                 f"divisible by 2^{halvings} stage halvings")
 
 
-def resnet34_config(input_height: int, input_width: int) -> NetworkConfig:
-    """Deep preset with the classic 4-stage (3, 4, 6, 3) layout."""
-    return NetworkConfig(stage_widths=(64, 128, 256, 512),
-                         blocks_per_stage=(3, 4, 6, 3),
-                         input_height=input_height, input_width=input_width)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
@@ -103,29 +95,30 @@ def _blocks(config: NetworkConfig):
             c_in = width
 
 
+def _param_shapes(config: NetworkConfig):
+    """Yield (name, shape) of every parameter, in init and checkpoint order."""
+    yield "stem.w", (config.stage_widths[0], 1, 3, 3)
+    yield "stem.b", (config.stage_widths[0],)
+    for name, c_in, c_out, _stride, proj in _blocks(config):
+        yield f"{name}.conv1.w", (c_out, c_in, 3, 3)
+        yield f"{name}.conv1.b", (c_out,)
+        yield f"{name}.conv2.w", (c_out, c_out, 3, 3)
+        yield f"{name}.conv2.b", (c_out,)
+        if proj:
+            yield f"{name}.proj.w", (c_out, c_in, 1, 1)
+            yield f"{name}.proj.b", (c_out,)
+    yield "head.w", (config.num_classes, config.stage_widths[-1])
+    yield "head.b", (config.num_classes,)
+
+
 def init_model(config: NetworkConfig, seed: int) -> Model:
     """Fan-in-scaled uniform weights, zero biases, from the seeded generator."""
     rng = np.random.default_rng(seed)
-
-    def weight(shape):
-        fan_in = int(np.prod(shape[1:]))
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
     params: dict[str, np.ndarray] = {}
-    w0 = config.stage_widths[0]
-    params["stem.w"] = weight((w0, 1, 3, 3))
-    params["stem.b"] = np.zeros(w0)
-    for name, c_in, c_out, stride, proj in _blocks(config):
-        params[f"{name}.conv1.w"] = weight((c_out, c_in, 3, 3))
-        params[f"{name}.conv1.b"] = np.zeros(c_out)
-        params[f"{name}.conv2.w"] = weight((c_out, c_out, 3, 3))
-        params[f"{name}.conv2.b"] = np.zeros(c_out)
-        if proj:
-            params[f"{name}.proj.w"] = weight((c_out, c_in, 1, 1))
-            params[f"{name}.proj.b"] = np.zeros(c_out)
-    params["head.w"] = weight((config.num_classes, config.stage_widths[-1]))
-    params["head.b"] = np.zeros(config.num_classes)
+    for name, shape in _param_shapes(config):
+        bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
+        params[name] = (np.zeros(shape) if name.endswith(".b")
+                        else rng.uniform(-bound, bound, size=shape))
     return Model(config=config, params=params, meta={"seed": seed})
 
 
@@ -186,12 +179,6 @@ def _conv_backward(dy, cache, need_dx=True):
             tap += col
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     return dxp[:, :, ph:xp.shape[2] - ph, pw:xp.shape[3] - pw], dw, db
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -428,25 +415,39 @@ def save_model(model: Model, path) -> None:
                          "params": manifest}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
+        fh.write(len(header).to_bytes(4, "little"))
         fh.write(header)
         for tensor in model.params.values():
             fh.write(tensor.astype("<f8").tobytes())
 
 
 def load_model(path) -> Model:
+    """Read a ``save_model`` checkpoint; any mismatch raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CHECKPOINT_MAGIC))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError("not a model checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        data = fh.read()
+    offset = len(_CHECKPOINT_MAGIC) + 4
+    if data[:offset - 4] != _CHECKPOINT_MAGIC:
+        raise ValueError("not a model checkpoint (bad magic)")
+    hlen = int.from_bytes(data[offset - 4:offset], "little")
+    if len(data) < offset + hlen:
+        raise ValueError("checkpoint truncated in the header")
+    header = json.loads(data[offset:offset + hlen].decode("utf-8"))
+    offset += hlen
+    try:
         config = NetworkConfig(**header["config"])
-        params: dict[str, np.ndarray] = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"checkpoint truncated at parameter {name}")
-            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return Model(config=config, params=params, meta=header["meta"])
+        manifest, meta = header["params"], header["meta"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint header: {exc!r}") from None
+    shapes = list(_param_shapes(config))
+    if manifest != [[name, list(shape)] for name, shape in shapes]:
+        raise ValueError("checkpoint parameters do not match its network")
+    extra = len(data) - offset - 8 * sum(int(np.prod(s)) for _, s in shapes)
+    if extra:
+        raise ValueError(f"checkpoint has {extra} trailing bytes" if extra > 0
+                         else f"checkpoint truncated by {-extra} bytes")
+    params: dict[str, np.ndarray] = {}
+    for name, shape in shapes:
+        params[name] = np.frombuffer(data, "<f8", int(np.prod(shape)),
+                                     offset).reshape(shape).copy()
+        offset += params[name].nbytes
+    return Model(config=config, params=params, meta=meta)

@@ -36,15 +36,10 @@ class PipelineConfig:
     scalogram: ScalogramConfig = field(default_factory=ScalogramConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = TrainConfig.seed
 
     def __post_init__(self):
         if self.fs_default <= 0:
             raise ValueError("fs_default must be positive")
-        if self.seed != self.training.seed:
-            raise ValueError(
-                f"seed {self.seed} differs from training.seed "
-                f"{self.training.seed}; set both to one value")
         if self.feature_length < 2:
             raise ValueError("feature_length must be >= 2")
         if self.scalogram.num_scales < 1 or self.scalogram.iterations < 4:
@@ -57,8 +52,7 @@ class PipelineConfig:
                 f"{self.network.input_height}x{self.network.input_width}")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
-        return replace(self, seed=seed,
-                       training=replace(self.training, seed=seed))
+        return replace(self, training=replace(self.training, seed=seed))
 
 
 def _from_dict(cls, d: dict):

@@ -34,7 +34,6 @@ class FeatureWave:
 
     samples: np.ndarray
     is_noise_gated: bool
-    source_id: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -54,8 +53,7 @@ def gate_noise(peaks: RPeaks, duration: float,
 
 
 def extract_feature_wave(samples, peaks: RPeaks, length: int,
-                         gate: GateConfig = GateConfig(),
-                         source_id: str = "") -> FeatureWave:
+                         gate: GateConfig = GateConfig()) -> FeatureWave:
     """Cut four cardiac cycles from the middle of a filtered record.
 
     The window runs from peak m-2 to peak m+2 where m is the middle peak
@@ -68,8 +66,7 @@ def extract_feature_wave(samples, peaks: RPeaks, length: int,
     duration = samples.size / peaks.fs
     gated = gate_noise(peaks, duration, gate) or peaks.count < 6
     if gated:
-        return FeatureWave(samples=np.zeros(length), is_noise_gated=True,
-                           source_id=source_id)
+        return FeatureWave(samples=np.zeros(length), is_noise_gated=True)
 
     m = peaks.count // 2
     start = int(peaks.indices[m - 2])
@@ -81,5 +78,4 @@ def extract_feature_wave(samples, peaks: RPeaks, length: int,
     window = samples[start:end + 1]
     positions = np.arange(length) * ((end - start) / length)
     resampled = np.interp(positions, np.arange(window.size), window)
-    return FeatureWave(samples=resampled, is_noise_gated=False,
-                       source_id=source_id)
+    return FeatureWave(samples=resampled, is_noise_gated=False)

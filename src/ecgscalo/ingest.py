@@ -5,6 +5,8 @@ Supported on-disk formats:
 * ``csv``    -- one decimal amplitude per line, ``.`` decimal separator.
 * ``raw16``  -- little-endian signed 16-bit samples with a JSON sidecar
   ``<name>.json`` holding ``{"id": str, "fs": number, "scale": number}``.
+  csv and mat5 records may have one with any of the keys. In every sidecar
+  ``id`` is a string and ``fs`` and ``scale`` are finite and positive.
 * ``mat5``   -- uncompressed MATLAB level-5 file containing a single int16
   matrix named ``val`` (the shape the 2017 challenge distributes). Anything
   else is rejected. The rate and scale come from a JSON sidecar if there is
@@ -73,8 +75,8 @@ class EcgRecord:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0:
-            raise ValueError(f"sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise ValueError(f"fs {self.fs} is not a finite positive rate")
         if self.fs_source not in FS_SOURCES:
             raise ValueError(f"fs_source must be one of {FS_SOURCES}, got "
                              f"{self.fs_source!r}")
@@ -111,12 +113,24 @@ class SynthSpec:
             raise ValueError("fs and qrs_width must be positive")
 
 
-def _read_sidecar(path: Path) -> dict | None:
+def _read_sidecar(path: Path, required: tuple[str, ...] = ()) -> dict | None:
+    """The sidecar ``<name>.json`` or None; a bad one raises FormatError."""
     sidecar = path.with_suffix(".json")
     if not sidecar.exists():
         return None
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{sidecar.name}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{sidecar.name}: expected a JSON object")
+    if missing := [key for key in required if key not in meta]:
+        raise FormatError(f"{sidecar.name}: missing {', '.join(missing)}")
+    if not isinstance(meta.get("id", ""), str):
+        raise FormatError(f"{sidecar.name}: id {meta['id']!r} is not a string")
+    meta.update({key: _header_number(meta[key], float, key, sidecar)
+                 for key in ("fs", "scale") if key in meta})
+    return meta
 
 
 def load_record(path, fmt: str | None = None,
@@ -168,9 +182,9 @@ def _load_csv(path: Path, default_fs: float) -> EcgRecord:
         raise FormatError("empty signal", 0)
     meta = _read_sidecar(path) or {}
     return EcgRecord(id=meta.get("id", path.stem),
-                     fs=float(meta.get("fs", default_fs)),
+                     fs=meta.get("fs", default_fs),
                      samples=np.array(values),
-                     scale=float(meta.get("scale", 1.0)),
+                     scale=meta.get("scale", 1.0),
                      fs_source="sidecar" if "fs" in meta else "default")
 
 
@@ -181,13 +195,13 @@ def _load_raw16(path: Path) -> EcgRecord:
     if len(data) % 2:
         raise FormatError("odd byte count for 16-bit samples",
                           len(data) - 1)
-    meta = _read_sidecar(path)
+    meta = _read_sidecar(path, required=("id", "fs", "scale"))
     if meta is None:
         raise FormatError(f"missing sidecar {path.with_suffix('.json')}")
     raw = np.frombuffer(data, dtype="<i2").astype(np.float64)
-    scale = float(meta["scale"])
-    return EcgRecord(id=str(meta["id"]), fs=float(meta["fs"]),
-                     samples=raw * scale, scale=scale, fs_source="sidecar")
+    return EcgRecord(id=meta["id"], fs=meta["fs"],
+                     samples=raw * meta["scale"], scale=meta["scale"],
+                     fs_source="sidecar")
 
 
 def write_raw16(record: EcgRecord, path) -> None:
@@ -199,15 +213,15 @@ def write_raw16(record: EcgRecord, path) -> None:
     path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
 
 
-def _header_number(text: str, kind, what: str, hea: Path):
-    """Parse one numeric header field; it must be finite and positive."""
+def _header_number(text, kind, what: str, source: Path):
+    """One header or sidecar field as ``kind``; finite, positive, no bool."""
     try:
         value = kind(text)
-        usable = value > 0 and math.isfinite(value)
-    except (ValueError, OverflowError):
+        usable = not isinstance(text, bool) and 0 < value < math.inf
+    except (TypeError, ValueError, OverflowError):
         usable = False
     if not usable:
-        raise FormatError(f"{hea.name}: {what} {text!r} is not a finite "
+        raise FormatError(f"{source.name}: {what} {text!r} is not a finite "
                           f"positive number")
     return value
 
@@ -345,13 +359,10 @@ def _load_mat5(path: Path, default_fs: float) -> EcgRecord:
     if header.get("nsamp", count) != count:
         raise FormatError(f"{path.with_suffix('.hea').name} declares "
                           f"{header['nsamp']} samples, the file holds {count}")
-    scale = float(meta.get("scale", header.get("scale", DEFAULT_MAT_SCALE)))
-    if "fs" in meta:
-        fs, fs_source = float(meta["fs"]), "sidecar"
-    elif "fs" in header:
-        fs, fs_source = float(header["fs"]), "header"
-    else:
-        fs, fs_source = default_fs, "default"
+    scale = meta.get("scale", header.get("scale", DEFAULT_MAT_SCALE))
+    fs = meta.get("fs", header.get("fs", default_fs))
+    fs_source = ("sidecar" if "fs" in meta
+                 else "header" if "fs" in header else "default")
     return EcgRecord(id=meta.get("id", path.stem), fs=fs,
                      samples=raw.astype(np.float64) * scale,
                      scale=scale, fs_source=fs_source)

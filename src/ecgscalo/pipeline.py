@@ -20,7 +20,6 @@ from ecgscalo.ingest import EcgRecord
 class StageOutputs:
     """Everything one record produces on its way to the classifier."""
 
-    filtered: np.ndarray
     peaks: rpeak.RPeaks
     feature: featurize.FeatureWave
     scalo: scalogram.Scalogram
@@ -52,17 +51,17 @@ def feature_wave(record: EcgRecord, cfg: PipelineConfig,
     if peaks is None:
         peaks = detect(record, cfg, filtered)
     return featurize.extract_feature_wave(
-        filtered, peaks, cfg.feature_length, cfg.gate, source_id=record.id)
+        filtered, peaks, cfg.feature_length, cfg.gate)
 
 
 def feature_to_scalogram(wave: featurize.FeatureWave, cfg: PipelineConfig,
                          wavelet: scalogram.WaveletTable | None = None
                          ) -> scalogram.Scalogram:
+    """db4 CWT at one step per sample: the wave has no sampling rate."""
     if wavelet is None:
         wavelet = scalogram.build_db4(cfg.scalogram.iterations)
     scales = np.arange(1, cfg.scalogram.num_scales + 1, dtype=np.float64)
-    return scalogram.cwt(wave, scales, wavelet, fs=cfg.fs_default,
-                         stride=cfg.scalogram.stride)
+    return scalogram.cwt(wave, scales, wavelet, fs=1.0)
 
 
 def run_record(record: EcgRecord, cfg: PipelineConfig,
@@ -73,8 +72,7 @@ def run_record(record: EcgRecord, cfg: PipelineConfig,
     wave = feature_wave(record, cfg, filtered, peaks)
     scalo = feature_to_scalogram(wave, cfg, wavelet)
     image = scalogram.to_grayscale(scalo)
-    return StageOutputs(filtered=filtered, peaks=peaks, feature=wave,
-                        scalo=scalo, image=image)
+    return StageOutputs(peaks=peaks, feature=wave, scalo=scalo, image=image)
 
 
 def network_input(image: scalogram.GrayImage,

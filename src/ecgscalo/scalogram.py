@@ -44,7 +44,6 @@ SPECTRA_MEMO_ENTRIES = 4
 class ScalogramConfig:
     num_scales: int = 64
     iterations: int = 10  # wavelet table resolution 2^iterations
-    stride: int = 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class WaveletTable:
     """
 
     psi: np.ndarray
-    support: tuple[float, float]
     resolution: int
     _spectra: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -181,8 +179,7 @@ def build_db4(iterations: int) -> WaveletTable:
     up = np.zeros(7 * 2 ** (iterations - 1) + 1)
     up[:: 2 ** (iterations - 1)] = g
     psi = root2 * np.convolve(phi, up)
-    return WaveletTable(psi=psi, support=(0.0, SUPPORT_END),
-                        resolution=2 ** iterations)
+    return WaveletTable(psi=psi, resolution=2 ** iterations)
 
 
 def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
@@ -219,8 +216,7 @@ def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
     return nfft, spectra
 
 
-def cwt(wave, scales, wavelet: WaveletTable, fs: float,
-        stride: int = ScalogramConfig.stride) -> Scalogram:
+def cwt(wave, scales, wavelet: WaveletTable, fs: float) -> Scalogram:
     """Coefficient matrix of the discretized wavelet transform.
 
     ``wave`` is a FeatureWave or a plain 1-D sequence; ``scales`` are the
@@ -229,7 +225,6 @@ def cwt(wave, scales, wavelet: WaveletTable, fs: float,
     integer offsets, the signal being zero outside its support. The same
     sums are evaluated by FFT: the zero-padded wave's spectrum times the
     kernel spectra memoised on ``wavelet``, then one inverse transform.
-    Every ``stride``-th shift is kept.
     """
     f = wave.samples if isinstance(wave, FeatureWave) else np.asarray(
         wave, dtype=np.float64)
@@ -238,12 +233,10 @@ def cwt(wave, scales, wavelet: WaveletTable, fs: float,
         raise ValueError("scales must be a nonempty list of positive reals")
     if f.size == 0:
         raise ValueError("empty input wave")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     length = f.size
     nfft, spectra = _kernel_spectra(wavelet, scales, length, fs)
     rows = np.fft.irfft(np.fft.rfft(f, nfft) * spectra, nfft, axis=1)
-    coeffs = np.ascontiguousarray(rows[:, :length:stride])
+    coeffs = np.ascontiguousarray(rows[:, :length])
     return Scalogram(coeffs=coeffs, scales=scales, fs=fs)
 
 
@@ -284,16 +277,3 @@ def read_f32(path) -> Scalogram:
     coeffs = data.reshape(meta["rows"], meta["cols"])
     return Scalogram(coeffs=coeffs, scales=np.asarray(meta["scales"]),
                      fs=float(meta["fs"]))
-
-
-def export(obj, path, fmt: str) -> None:
-    """Write a Scalogram or GrayImage as ``pgm`` or ``f32``."""
-    if fmt == "pgm":
-        image = obj if isinstance(obj, GrayImage) else to_grayscale(obj)
-        write_pgm(image, path)
-    elif fmt == "f32":
-        if not isinstance(obj, Scalogram):
-            raise TypeError("f32 export needs a Scalogram")
-        write_f32(obj, path)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -6,15 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ecgscalo
 from ecgscalo import classifier
 from ecgscalo.classifier import (NetworkConfig, TrainConfig,
                                  area_downsample, forward, gradient_check,
                                  init_model, load_model, loss_and_grad,
-                                 predict, resnet34_config, save_model,
-                                 softmax, softmax_cross_entropy, train)
+                                 predict, save_model, softmax_cross_entropy,
+                                 train)
 from ecgscalo.ingest import EcgClass
 
 TINY = NetworkConfig(stage_widths=(4, 8), blocks_per_stage=(1, 1),
@@ -143,7 +144,11 @@ class TestForward:
         x, _ = tiny_batch()
         logits = forward(model, x)
         assert np.all(logits == 0.0)
-        np.testing.assert_allclose(softmax(logits), 0.25)
+        # the loss gradient is (softmax - one-hot) / batch
+        _, dlogits = softmax_cross_entropy(logits, np.zeros(len(x), int))
+        probs = dlogits * len(x)
+        probs[:, 0] += 1.0
+        np.testing.assert_allclose(probs, 0.25)
 
     def test_duplicated_input_duplicates_logits(self):
         model = init_model(TINY, seed=3)
@@ -156,12 +161,6 @@ class TestForward:
         model = init_model(TINY, seed=4)
         with pytest.raises(ValueError, match=r"8, 16"):
             forward(model, np.zeros((1, 1, 8, 8)))
-
-    def test_softmax_rows_sum_to_one(self):
-        model = init_model(TINY, seed=5)
-        x, _ = tiny_batch(n=6)
-        rows = softmax(forward(model, x)).sum(axis=1)
-        np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("cfg", [
         NetworkConfig((4,), (1,), 8, 16),
@@ -180,11 +179,6 @@ class TestForward:
     def test_five_classes_rejected(self):
         with pytest.raises(ValueError):
             NetworkConfig((4,), (1,), 8, 16, num_classes=5)
-
-    def test_resnet34_preset(self):
-        cfg = resnet34_config(64, 256)
-        assert cfg.stage_widths == (64, 128, 256, 512)
-        assert cfg.blocks_per_stage == (3, 4, 6, 3)
 
 
 class TestLoss:
@@ -354,6 +348,87 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_model(p)
+
+    @staticmethod
+    def header_span(data):
+        """Offsets of the first and one past the last JSON header byte."""
+        start = len(classifier._CHECKPOINT_MAGIC) + 4
+        return start, start + int.from_bytes(data[start - 4:start], "little")
+
+    def saved(self, tmp_path):
+        """A TINY checkpoint's path and bytes, and its header as a dict."""
+        p = tmp_path / "m.bin"
+        save_model(init_model(TINY, seed=11), p)
+        data = p.read_bytes()
+        start, end = self.header_span(data)
+        return p, data, json.loads(data[start:end])
+
+    def rewrite(self, p, data, header):
+        """Write ``data`` to ``p`` with its header replaced by ``header``."""
+        start, end = self.header_span(data)
+        text = json.dumps(header).encode()
+        p.write_bytes(data[:start - 4] + len(text).to_bytes(4, "little")
+                      + text + data[end:])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p, data, _ = self.saved(tmp_path)
+        p.write_bytes(data + bytes(16))
+        with pytest.raises(ValueError, match="16 trailing bytes"):
+            load_model(p)
+
+    @pytest.mark.parametrize("kept", [2, 40])  # into the length, the JSON
+    def test_short_header_rejected(self, tmp_path, kept):
+        p, data, _ = self.saved(tmp_path)
+        p.write_bytes(data[:len(classifier._CHECKPOINT_MAGIC) + kept])
+        with pytest.raises(ValueError, match="truncated in the header"):
+            load_model(p)
+
+    @pytest.mark.parametrize("edit", ["reshape", "drop", "rename", "config"])
+    def test_manifest_mismatch_rejected(self, tmp_path, edit):
+        p, data, header = self.saved(tmp_path)
+        manifest = header["params"]
+        if edit == "reshape":  # same element count, wrong layout
+            manifest[0][1] = [4, 1, 1, 1]
+        elif edit == "drop":
+            del manifest[0]
+        elif edit == "rename":
+            manifest[0][0] = "stem.weights"
+        else:  # a different network under the same payload
+            header["config"]["stage_widths"] = [4, 16]
+        self.rewrite(p, data, header)
+        with pytest.raises(ValueError, match="do not match"):
+            load_model(p)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        p, data, header = self.saved(tmp_path)
+        del header["meta"]
+        self.rewrite(p, data, header)
+        with pytest.raises(ValueError, match="malformed"):
+            load_model(p)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_checkpoint_rejected_or_intact(self, tmp_path, data):
+        """Each cut or byte change either raises ValueError or loads the
+        parameter names and shapes ``init_model`` gives."""
+        p, blob, _ = self.saved(tmp_path)
+        header_end = self.header_span(blob)[1]
+        pos = data.draw(st.one_of(st.integers(0, header_end + 8),
+                                  st.integers(0, len(blob) - 1)))
+        if data.draw(st.booleans()):
+            damaged = blob[:pos]
+        else:
+            byte = data.draw(st.integers(0, 255))
+            damaged = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+        p.write_bytes(damaged)
+        try:
+            model = load_model(p)
+        except ValueError:
+            return
+        want = init_model(TINY, seed=0).params
+        assert [(k, v.shape) for k, v in model.params.items()] == [
+            (k, v.shape) for k, v in want.items()]
 
 
 class TestDownsample:

@@ -19,8 +19,7 @@ def small_config(epochs=30, lr=0.08, seed=3):
         network=NetworkConfig(stage_widths=(4, 8), blocks_per_stage=(1, 1),
                               input_height=16, input_width=64),
         training=TrainConfig(learning_rate=lr, momentum=0.9, batch_size=4,
-                             epochs=epochs, seed=seed),
-        seed=seed)
+                             epochs=epochs, seed=seed))
 
 
 def write_dataset(tmp_path, n_normal=4, n_noise=4):
@@ -60,12 +59,22 @@ class TestConfig:
 
     def test_seed_override_flows_to_training(self):
         cfg = small_config(seed=3).with_seed(99)
-        assert cfg.seed == 99
         assert cfg.training.seed == 99
+        assert cfg == small_config(seed=99)
 
     def test_conflicting_seeds_fail_in_config_stage(self, tmp_path, capsys):
+        """A file from before ``training.seed`` became the only seed."""
         fields = asdict(PipelineConfig())
         fields["seed"] = 5  # training.seed stays 0
+        self.assert_config_stage_names(tmp_path, capsys, fields, "'seed'")
+
+    def test_stride_key_fails_in_config_stage(self, tmp_path, capsys):
+        fields = asdict(PipelineConfig())
+        fields["scalogram"]["stride"] = 1
+        self.assert_config_stage_names(tmp_path, capsys, fields, "'stride'")
+
+    @staticmethod
+    def assert_config_stage_names(tmp_path, capsys, fields, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(fields))
         rc = cli.main(["--config", str(bad), "preprocess",
@@ -73,7 +82,7 @@ class TestConfig:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["stage"] == "config"
-        assert "training.seed" in err["error"]["message"]
+        assert key in err["error"]["message"]
 
     def test_incompatible_dimensions_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -97,7 +106,7 @@ class TestConfig:
         out = tmp_path / "seeded.json"
         assert cli.main(["--seed", "99", "init-config", str(out)]) == 0
         cfg = load_config(out)
-        assert cfg.seed == 99 and cfg.training.seed == 99
+        assert cfg.training.seed == 99
 
     def test_dump_filter_coefficients(self, tmp_path):
         out = tmp_path / "filters.json"

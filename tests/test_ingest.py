@@ -279,6 +279,45 @@ class TestWfdbHeader:
         assert rec.fs > 0 and np.all(np.isfinite(rec.samples))
 
 
+class TestSidecarRules:
+    """Sidecars get the checks WFDB headers get; each failure names it."""
+
+    @pytest.mark.parametrize("ext,text,match", [
+        ("csv", '{"fs": NaN}', "fs nan"),
+        ("csv", '{"fs": 1e999}', "fs inf"),
+        ("csv", '{"fs": -300}', "fs -300"),
+        ("csv", '{"fs": true}', "fs True"),
+        ("csv", '{"fs": "fast"}', "fs 'fast'"),
+        ("csv", '{"fs": 300, "id": 7}', "id 7"),
+        ("csv", "[1, 2]", "JSON object"),
+        ("csv", '{"fs": 300', "not valid JSON"),
+        ("csv", b'{"id": "\xff"}', "not valid JSON"),
+        ("raw16", '{"id": "r", "fs": 200, "scale": 0}', "scale 0"),
+        ("raw16", '{"fs": 200, "scale": 1}', "missing id"),
+        ("raw16", '{"id": "r", "fs": 200}', "missing scale"),
+        ("raw16", "{}", "missing id, fs, scale"),
+        ("mat", '{"scale": 1e999}', "scale inf"),
+        ("mat", '{"fs": [300]}', r"fs \[300\]"),
+    ])
+    def test_bad_sidecar_raises_format_error(self, tmp_path, ext, text,
+                                             match):
+        path = tmp_path / f"r.{ext}"
+        if ext == "csv":
+            path.write_text("0.5\n")
+        elif ext == "raw16":
+            path.write_bytes(b"\x00\x01")
+        else:
+            write_minimal_mat(path, [1, 2])
+        sidecar = tmp_path / "r.json"
+        if isinstance(text, bytes):
+            sidecar.write_bytes(text)
+        else:
+            sidecar.write_text(text)
+        with pytest.raises(FormatError, match=match) as err:
+            ingest.load_record(path)
+        assert "r.json" in str(err.value)
+
+
 class TestLabels:
     def test_symbols(self, tmp_path):
         p = tmp_path / "REFERENCE.csv"
@@ -342,6 +381,11 @@ class TestRecordInvariants:
     def test_rejects_bad_fs(self):
         with pytest.raises(ValueError):
             EcgRecord(id="x", fs=0.0, samples=np.ones(4))
+
+    @pytest.mark.parametrize("fs", [np.nan, np.inf])
+    def test_rejects_non_finite_fs(self, fs):
+        with pytest.raises(ValueError, match="finite"):
+            EcgRecord(id="x", fs=fs, samples=np.ones(4))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -9,24 +9,23 @@ from ecgscalo import pipeline, scalogram
 from ecgscalo.config import PipelineConfig
 from ecgscalo.ingest import SynthSpec, synth_ecg
 from ecgscalo.scalogram import (GrayImage, Scalogram, WaveletTable, build_db4,
-                                cwt, export, qmf, read_f32, scaling_filter,
+                                cwt, qmf, read_f32, scaling_filter,
                                 to_grayscale, write_f32, write_pgm)
 
 FS = 200.0
 
 
-def cwt_direct(f, scales, table, fs, stride=1):
+def cwt_direct(f, scales, table, fs):
     """The transform as first written: one np.correlate per scale over the
     zero-padded wave. Kept as the oracle for the FFT evaluation."""
     f = np.asarray(f, dtype=np.float64)
-    positions = np.arange(0, f.size, stride)
-    out = np.empty((len(scales), positions.size))
+    out = np.empty((len(scales), f.size))
     for j, a in enumerate(scales):
         d = np.arange(int(scalogram.SUPPORT_END * a) + 1)
         kernel = table.sample(d / a)
         row = np.correlate(np.concatenate([f, np.zeros(d.size - 1)]),
                            kernel, mode="valid")
-        out[j] = (1.0 / fs) / math.sqrt(a) * row[positions]
+        out[j] = (1.0 / fs) / math.sqrt(a) * row
     return out
 
 
@@ -77,9 +76,9 @@ class TestWaveletTable:
 
     def test_support_and_resolution(self):
         table = build_db4(8)
-        assert table.support == (0.0, 7.0)
         assert table.resolution == 256
-        assert table.psi.size <= 7 * 256
+        # samples k / 256 for k < psi.size cover [0, 7) and no more
+        assert 6 * 256 < table.psi.size <= 7 * 256
 
     def test_lookup_outside_support_is_zero(self):
         table = build_db4(8)
@@ -147,13 +146,6 @@ class TestCwt:
         with pytest.raises(ValueError):
             cwt(np.ones(16), [0.0], db4_table, fs=FS)
 
-    def test_stride_subsamples_columns(self, db4_table):
-        rng = np.random.default_rng(11)
-        f = rng.normal(size=64)
-        full = cwt(f, [2.0], db4_table, fs=FS).coeffs
-        strided = cwt(f, [2.0], db4_table, fs=FS, stride=4).coeffs
-        np.testing.assert_array_equal(strided, full[:, ::4])
-
     def test_feature_wave_and_array_agree(self, db4_table):
         from ecgscalo.featurize import FeatureWave
         rng = np.random.default_rng(14)
@@ -179,16 +171,15 @@ class TestFftEvaluation:
                                           to_grayscale(direct).pixels)
 
     @settings(max_examples=60, deadline=None)
-    @given(length=st.integers(8, 1100), stride=st.integers(1, 4),
-           count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_matches_direct_correlation(self, db4_table, length, stride,
-                                        count, seed):
+    @given(length=st.integers(8, 1100), count=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_correlation(self, db4_table, length, count, seed):
         rng = np.random.default_rng(seed)
         top = min(64.0, 8 * length / scalogram.SUPPORT_END)
         scales = rng.uniform(0.5, top, size=count)
         f = rng.standard_normal(length)
-        fast = cwt(f, scales, db4_table, fs=FS, stride=stride).coeffs
-        assert_rows_close(fast, cwt_direct(f, scales, db4_table, FS, stride))
+        fast = cwt(f, scales, db4_table, fs=FS).coeffs
+        assert_rows_close(fast, cwt_direct(f, scales, db4_table, FS))
 
     def test_oversized_scale_rejected_after_memo_is_warm(self, db4_table):
         f = np.ones(16)
@@ -212,8 +203,7 @@ class TestCaches:
         cached = build_db4(9)
         assert fresh is not cached
         np.testing.assert_array_equal(cached.psi, fresh.psi)
-        assert (cached.support, cached.resolution) == (fresh.support,
-                                                       fresh.resolution)
+        assert cached.resolution == fresh.resolution
 
     def test_iterations_get_their_own_entries(self):
         assert build_db4(8) is not build_db4(10)
@@ -221,12 +211,12 @@ class TestCaches:
 
     def test_table_copies_its_samples(self):
         psi = np.array([0.0, 1.0, -1.0, 0.0])
-        table = WaveletTable(psi=psi, support=(0.0, 7.0), resolution=1)
+        table = WaveletTable(psi=psi, resolution=1)
         psi[1] = 5.0
         assert table.psi[1] == 1.0
 
     def test_tables_never_share_spectra(self, db4_table):
-        other = WaveletTable(psi=-db4_table.psi, support=db4_table.support,
+        other = WaveletTable(psi=-db4_table.psi,
                              resolution=db4_table.resolution)
         f = np.random.default_rng(15).standard_normal(100)
         base = cwt(f, [1.0, 4.5], db4_table, fs=FS).coeffs
@@ -305,12 +295,3 @@ class TestExport:
             back.coeffs, s.coeffs.astype(np.float32).astype(np.float64))
         np.testing.assert_array_equal(back.scales, s.scales)
         assert back.fs == s.fs
-
-    def test_export_dispatch(self, tmp_path):
-        s = Scalogram(coeffs=np.array([[0.0, 1.0]]), scales=[1.0], fs=FS)
-        export(s, tmp_path / "a.pgm", "pgm")
-        export(s, tmp_path / "a.f32", "f32")
-        assert (tmp_path / "a.pgm").exists()
-        assert (tmp_path / "a.f32").exists()
-        with pytest.raises(ValueError):
-            export(s, tmp_path / "a.x", "png")

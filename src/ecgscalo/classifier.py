@@ -195,8 +195,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
     return loss, dlogits / n
 
 
-def _check_batch(config: NetworkConfig, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_batch(config: NetworkConfig, x) -> np.ndarray:
+    """The network's input gate: uint8 pixels are read as [0, 1], any other
+    input as float64, and the batch must be [B, 1, H, W]."""
+    x = np.asarray(x)
+    x = pixels_to_unit(x) if x.dtype == np.uint8 else x.astype(
+        np.float64, copy=False)
     expected = (1, config.input_height, config.input_width)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(
@@ -275,7 +279,8 @@ def _run(model: Model, x: np.ndarray, grads: dict | None = None):
 
 
 def forward(model: Model, batch) -> np.ndarray:
-    """Logits [B, 4] for a batch [B, 1, H, W]; deterministic and stateless."""
+    """Logits [B, 4] for a batch [B, 1, H, W], uint8 pixels read as [0, 1];
+    deterministic and stateless."""
     return _run(model, _check_batch(model.config, batch))
 
 
@@ -321,13 +326,14 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
     """Momentum-SGD training over (image, label) pairs.
 
     Images are 2-D uint8 (rescaled to [0, 1]) or float arrays already in
-    real units. Given the same seed the result is bit-identical: shuffle
-    order, batching and update order are all fixed.
+    real units, each read on its own. Given the same seed the result is
+    bit-identical: shuffle order, batching and update order are all fixed.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     images, labels = zip(*dataset)
-    x_all = np.stack([_to_real(img, net) for img in images])[:, None, :, :]
+    x_all = np.concatenate([_check_batch(net, np.asarray(img)[None, None])
+                            for img in images])
     y_all = np.asarray([int(l) for l in labels], dtype=np.int64)
     if np.any((y_all < 0) | (y_all >= net.num_classes)):
         raise ValueError("labels must lie in [0, 3]")
@@ -373,21 +379,10 @@ def pixels_to_unit(pixels) -> np.ndarray:
     return pixels.astype(np.float64) / 255.0
 
 
-def _to_real(image, net: NetworkConfig) -> np.ndarray:
-    img = np.asarray(image)
-    if img.shape != (net.input_height, net.input_width):
-        raise ValueError(
-            f"image shape {img.shape} does not match network input "
-            f"({net.input_height}, {net.input_width})")
-    if img.dtype == np.uint8:
-        return pixels_to_unit(img)
-    return img.astype(np.float64)
-
-
 def predict(model: Model, image) -> EcgClass:
     """Class of a single image; ties break toward the lower class index."""
-    x = _to_real(image, model.config)[None, None, :, :]
-    return EcgClass(int(np.argmax(_run(model, x)[0])))
+    logits = forward(model, np.asarray(image)[None, None])
+    return EcgClass(int(np.argmax(logits[0])))
 
 
 def accuracy(model: Model, dataset) -> float:

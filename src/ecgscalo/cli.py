@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ecgscalo import classifier, ingest, metrics, pipeline, rpeak, scalogram
+from ecgscalo import (classifier, dsp, featurize, ingest, metrics, pipeline,
+                      rpeak, scalogram)
 from ecgscalo.config import PipelineConfig, load_config, save_config
 from ecgscalo.ingest import CLASS_SYMBOLS, EcgClass
 
@@ -146,9 +147,8 @@ def cmd_scalogram(args) -> int:
             gated = (json.loads(sidecar.read_text())["is_noise_gated"]
                      if sidecar.exists()
                      else not any(v != 0.0 for v in values))
-            from ecgscalo.featurize import FeatureWave
-            wave = FeatureWave(samples=np.asarray(values),
-                               is_noise_gated=gated)
+            wave = featurize.FeatureWave(samples=np.asarray(values),
+                                         is_noise_gated=gated)
             scalo = pipeline.feature_to_scalogram(wave, cfg)
             image = scalogram.to_grayscale(scalo)
         else:
@@ -178,9 +178,8 @@ def cmd_train(args) -> int:
     with _stage("ingest"):
         records, labels = _load_dataset(args.data_dir, args.labels, cfg)
     with _stage("pipeline"):
-        wavelet = scalogram.build_db4(cfg.scalogram.iterations)
-        dataset = [(pipeline.record_to_input(r, cfg, wavelet),
-                    labels[r.id]) for r in records]
+        dataset = [(pipeline.record_to_input(r, cfg), labels[r.id])
+                   for r in records]
     with _stage("train"):
         model = classifier.train(
             dataset, cfg.network, cfg.training,
@@ -195,10 +194,8 @@ def cmd_eval(args) -> int:
         records, labels = _load_dataset(args.data_dir, args.labels, cfg)
     with _stage("eval"):
         model = classifier.load_model(args.model)
-        wavelet = scalogram.build_db4(cfg.scalogram.iterations)
-        preds = [classifier.predict(
-            model, pipeline.record_to_input(r, cfg, wavelet))
-            for r in records]
+        preds = [classifier.predict(model, pipeline.record_to_input(r, cfg))
+                 for r in records]
         truth = [labels[r.id] for r in records]
         cm = metrics.confusion(preds, truth)
         report = metrics.challenge_f1(cm)
@@ -211,9 +208,7 @@ def cmd_eval(args) -> int:
             print(f"{c.name}: precision {fmt(report.precision[c])}, "
                   f"recall {fmt(report.recall[c])}, "
                   f"F1 {fmt(report.f1[c])}")
-        mean3 = "absent" if report.mean3 is None else f"{report.mean3:.4f}"
-        mean4 = "absent" if report.mean4 is None else f"{report.mean4:.4f}"
-        print(f"F1 mean3 {mean3}, mean4 {mean4}")
+        print(f"F1 mean3 {fmt(report.mean3)}, mean4 {fmt(report.mean4)}")
         if args.report_out:
             Path(args.report_out).write_text(report.to_json(),
                                              encoding="utf-8")
@@ -244,10 +239,8 @@ def cmd_dump_filter(args) -> int:
     """Debugging aid: designed and fixed filter coefficients as JSON."""
     cfg = _load_cfg(args)
     with _stage("dsp"):
-        from ecgscalo.dsp import design_butterworth_lowpass
-
         fs = args.fs if args.fs else cfg.fs_default
-        cascade = design_butterworth_lowpass(
+        cascade = dsp.design_butterworth_lowpass(
             cfg.butterworth.order, cfg.butterworth.cutoff_hz, fs)
         lp, hp = rpeak.pt_lowpass(), rpeak.pt_highpass()
         dump = {

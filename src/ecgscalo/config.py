@@ -14,16 +14,11 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 from ecgscalo.classifier import NetworkConfig, TrainConfig
+from ecgscalo.dsp import ButterworthConfig
 from ecgscalo.featurize import GateConfig
 from ecgscalo.ingest import DEFAULT_FS
 from ecgscalo.rpeak import DetectorConfig
 from ecgscalo.scalogram import ScalogramConfig
-
-
-@dataclass(frozen=True)
-class ButterworthConfig:
-    order: int = 6
-    cutoff_hz: float = 35.0
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,6 @@ class PipelineConfig:
             raise ValueError("fs_default must be positive")
         if self.feature_length < 2:
             raise ValueError("feature_length must be >= 2")
-        if self.scalogram.num_scales < 1 or self.scalogram.iterations < 4:
-            raise ValueError("need >= 1 scale and >= 4 wavelet iterations")
         if (self.scalogram.num_scales % self.network.input_height
                 or self.feature_length % self.network.input_width):
             raise ValueError(
@@ -55,9 +48,26 @@ class PipelineConfig:
         return replace(self, training=replace(self.training, seed=seed))
 
 
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has the type of a field annotated ``hint``."""
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_fits(item, v) for v in value)
+    if hint in (int, float):  # a bool is no number; an int is a float
+        kinds = (int, float) if hint is float else int
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    return True  # an unknown key: the constructor names it
+
+
 def _from_dict(cls, d: dict):
-    """Rebuild dataclass ``cls``, and each dataclass field, from ``asdict``."""
+    """Rebuild dataclass ``cls``, and each dataclass field, from ``asdict``;
+    a value of the wrong JSON type raises TypeError naming ``Class.field``."""
     hints = typing.get_type_hints(cls)
+    for k, v in d.items():
+        if not _fits(hints.get(k), v):
+            raise TypeError(f"{cls.__name__}.{k} cannot be {json.dumps(v)}")
     return cls(**{k: _from_dict(hints[k], v)
                   if is_dataclass(hints.get(k)) else v
                   for k, v in d.items()})

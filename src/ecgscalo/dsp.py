@@ -9,23 +9,23 @@ z = (1 + s) / (1 - s). Each conjugate pair becomes a section with both
 zeros at z = -1; an odd order adds one first-order section first. Sections
 are ordered by pole radius, the pair nearest the unit circle last, and each
 has unit DC gain, so the cascade gain is exactly 1. Designs are cached per
-``(order, fc, fs)`` and are immutable. Rational filters with integer
-coefficients are kept verbatim as numerator/denominator arrays in ascending
-powers of z^-1.
+``(order, fc, fs)`` and are immutable. A rational filter is an FIR kept as
+numerator/denominator arrays in ascending powers of z^-1, as Pan-Tompkins
+print theirs; its denominator must divide its numerator.
 
 ``apply_filter`` runs a filter from zero initial conditions by one of two
 exact routes, chosen once per filter from its coefficients:
 
-* FIR. A rational filter whose denominator divides its numerator with
-  remainder 0 is the FIR of the quotient (the Pan-Tompkins filters: 11 and
-  32 taps). A cascade is its impulse response, cut where a bound from the
-  largest pole radius puts the whole tail below ``TAIL_BOUND`` of the peak,
-  if that is within ``MAX_FIR_TAPS`` taps. Short convolutions run through
-  ``np.convolve``, long ones through an FFT of length 2^p 3^q.
-* Block recursion. Any other filter (a cascade with a longer tail, a
-  rational filter that is not an FIR) is its numerator followed by one
-  first-order recursion per pole, each run over blocks of ``BLOCK``
-  samples: a matrix product inside a block, one Python step between blocks.
+* FIR. A rational filter is the FIR of num / den (the Pan-Tompkins
+  filters: 11 and 32 taps). A cascade is its impulse response, cut where a
+  bound from the largest pole radius puts the whole tail below
+  ``TAIL_BOUND`` of the peak, if that is within ``MAX_FIR_TAPS`` taps.
+  Short convolutions run through ``np.convolve``, long ones through an FFT
+  of length 2^p 3^q.
+* Block recursion. A cascade with a longer tail (order 8 at 0.7 Hz and
+  360 Hz, say) is its numerator followed by one first-order recursion per
+  pole, each run over blocks of ``BLOCK`` samples: a matrix product inside a
+  block, one Python step between blocks.
 
 ``magnitude_response`` evaluates |H| directly from the coefficients, which
 gives the test suite an evaluation route independent of the design path and
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import decimal
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -61,15 +61,31 @@ def fft_size(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class RationalFilter:
-    """Transfer function b(z^-1)/a(z^-1), coefficients in ascending delay.
+class ButterworthConfig:
+    """Noise-removal low-pass; ``design_butterworth_lowpass`` checks fs/2."""
 
-    Instances are immutable and ``num``/``den`` are read-only copies, so
-    what ``apply_filter`` derives from them once never goes stale.
+    order: int = 6
+    cutoff_hz: float = 35.0
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("Butterworth order must be >= 1")
+        if not self.cutoff_hz > 0:
+            raise ValueError(f"cutoff {self.cutoff_hz} Hz must be positive")
+
+
+@dataclass(frozen=True)
+class RationalFilter:
+    """FIR written as b(z^-1)/a(z^-1), coefficients in ascending delay.
+
+    ``taps`` is the quotient num / den; a denominator that leaves a
+    remainder raises ``ValueError``. Instances are immutable and
+    ``num``/``den``/``taps`` are read-only copies.
     """
 
     num: np.ndarray
     den: np.ndarray
+    taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num = np.array(self.num, dtype=np.float64, ndmin=1)
@@ -78,23 +94,13 @@ class RationalFilter:
             raise ValueError("denominator leading coefficient must be nonzero")
         if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
             raise ValueError("filter coefficients must be finite")
-        num.flags.writeable = False
-        den.flags.writeable = False
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @functools.cached_property
-    def taps(self) -> np.ndarray | None:
-        """The FIR equal to this filter: num / den when the remainder is 0."""
-        quotient, remainder = npoly.polydiv(self.num, self.den)
+        taps, remainder = npoly.polydiv(num, den)
         if np.any(remainder != 0):
-            return None
-        quotient.flags.writeable = False
-        return quotient
-
-    @functools.cached_property
-    def _stages(self) -> tuple:
-        return (_stage(self.num / self.den[0], np.roots(self.den)),)
+            raise ValueError("denominator does not divide the numerator: "
+                             "the filter is not an FIR")
+        for name, coeffs in (("num", num), ("den", den), ("taps", taps)):
+            coeffs.flags.writeable = False
+            object.__setattr__(self, name, coeffs)
 
 
 @dataclass(frozen=True)
@@ -283,34 +289,15 @@ def apply_filter(filt: IirCascade | RationalFilter, x) -> np.ndarray:
         return out
     if x.size == 0:
         return x.copy()
-    if filt.taps is not None:
+    if filt.taps is not None:  # always, for a rational filter
         return _convolve(filt.taps, x)
     return _run_stages(filt._stages, x)
-
-
-def _limit_ratio(num: np.ndarray, den: np.ndarray, w: complex) -> complex:
-    """num(w)/den(w) with L'Hopital handling of removable singularities."""
-    b, a = num, den
-    for _ in range(max(len(b), len(a)) + 1):
-        nv = npoly.polyval(w, b)
-        dv = npoly.polyval(w, a)
-        if abs(dv) > 1e-9 * (1.0 + np.sum(np.abs(a))):
-            return nv / dv
-        if abs(nv) > 1e-9 * (1.0 + np.sum(np.abs(b))):
-            return complex(np.inf)  # genuine pole on the unit circle
-        if len(b) == 1 and len(a) == 1:
-            break
-        b = npoly.polyder(b) if len(b) > 1 else b
-        a = npoly.polyder(a) if len(a) > 1 else a
-    return complex(np.nan)
 
 
 def magnitude_response(filt: IirCascade | RationalFilter, f, fs: float):
     """|H| at frequency ``f`` Hz, evaluated exactly from the coefficients.
 
-    Accepts a scalar or an array of frequencies in [0, fs/2]. Removable
-    0/0 singularities (e.g. pole-zero pairs on the unit circle) are resolved
-    by the limit; genuine unit-circle poles return ``inf``.
+    Accepts a scalar or an array of frequencies in [0, fs/2].
     """
     f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
     if np.any((f_arr < 0) | (f_arr > fs / 2)):
@@ -323,17 +310,8 @@ def magnitude_response(filt: IirCascade | RationalFilter, f, fs: float):
             num = npoly.polyval(w, [b0, b1, b2])
             den = npoly.polyval(w, [1.0, a1, a2])
             out *= np.abs(num / den)  # sections are strictly stable
-        return out[0] if np.isscalar(f) or np.ndim(f) == 0 else out
-
-    if not isinstance(filt, RationalFilter):
+    elif isinstance(filt, RationalFilter):
+        out = np.abs(npoly.polyval(w, filt.taps))
+    else:
         raise TypeError(f"unsupported filter type {type(filt).__name__}")
-
-    num = npoly.polyval(w, filt.num)
-    den = npoly.polyval(w, filt.den)
-    scale_d = 1.0 + np.sum(np.abs(filt.den))
-    out = np.empty(f_arr.shape)
-    plain = np.abs(den) > 1e-9 * scale_d
-    out[plain] = np.abs(num[plain] / den[plain])
-    for i in np.flatnonzero(~plain):
-        out[i] = abs(_limit_ratio(filt.num, filt.den, w[i]))
     return out[0] if np.isscalar(f) or np.ndim(f) == 0 else out

@@ -150,12 +150,18 @@ def pt_chain(x, fs: float = DESIGN_FS,
 
 def detection_chain(record: EcgRecord, window: int) -> PtChainOutput:
     """The chain ``detect_rpeaks`` thresholds: the record linearly
-    resampled to 200 Hz, followed by ``TAIL_PAD`` zeros."""
+    resampled to 200 Hz, followed by ``TAIL_PAD`` zeros.
+
+    The resampled record is first scaled by the power of two that brings
+    its peak into [0.5, 1): exactly, as is each stage after it, so the
+    squaring stays in range and the peaks found do not depend on units.
+    """
     x = record.samples
     if record.fs != DESIGN_FS:
         n200 = int(round(x.size * DESIGN_FS / record.fs))
         t200 = np.arange(n200) / DESIGN_FS
         x = np.interp(t200, np.arange(x.size) / record.fs, x)
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     return pt_chain(np.concatenate([x, np.zeros(TAIL_PAD)]), DESIGN_FS, window)
 
 

@@ -45,6 +45,10 @@ class ScalogramConfig:
     num_scales: int = 64
     iterations: int = 10  # wavelet table resolution 2^iterations
 
+    def __post_init__(self):
+        if self.num_scales < 1 or self.iterations < 4:
+            raise ValueError("need >= 1 scale and >= 4 wavelet iterations")
+
 
 @dataclass(frozen=True)
 class WaveletTable:

@@ -162,6 +162,14 @@ class TestForward:
         with pytest.raises(ValueError, match=r"8, 16"):
             forward(model, np.zeros((1, 1, 8, 8)))
 
+    def test_uint8_pixels_read_as_unit_interval(self):
+        model = init_model(TINY, seed=4)
+        pixels = np.random.default_rng(2).integers(
+            0, 256, size=(2, 1, 8, 16)).astype(np.uint8)
+        np.testing.assert_array_equal(
+            forward(model, pixels),
+            forward(model, classifier.pixels_to_unit(pixels)))
+
     @pytest.mark.parametrize("cfg", [
         NetworkConfig((4,), (1,), 8, 16),
         NetworkConfig((4, 8), (2, 1), 8, 16),
@@ -280,6 +288,11 @@ class TestPredict:
         model.params["head.b"][:] = 1.0  # all logits equal
         img = np.zeros((8, 16), dtype=np.uint8)
         assert predict(model, img) == EcgClass.Normal
+
+    def test_wrong_shape_names_dimensions(self):
+        model = init_model(TINY, seed=8)
+        with pytest.raises(ValueError, match=r"\(1, 1, 16, 8\).*8, 16"):
+            predict(model, np.zeros((16, 8), dtype=np.uint8))
 
     def test_black_image_classified_noise_after_training(self,
                                                          quadrant_dataset):

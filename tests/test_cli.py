@@ -6,8 +6,8 @@ import pytest
 
 from ecgscalo import cli, ingest, pipeline, rpeak, scalogram
 from ecgscalo.classifier import NetworkConfig, TrainConfig
-from ecgscalo.config import (PipelineConfig, ScalogramConfig, load_config,
-                             save_config)
+from ecgscalo.config import (ButterworthConfig, PipelineConfig,
+                             ScalogramConfig, load_config, save_config)
 from ecgscalo.ingest import EcgRecord, SynthSpec, synth_ecg
 
 
@@ -73,6 +73,23 @@ class TestConfig:
         fields["scalogram"]["stride"] = 1
         self.assert_config_stage_names(tmp_path, capsys, fields, "'stride'")
 
+    @pytest.mark.parametrize("section,key,value,name", [
+        ("butterworth", "order", 6.5, "ButterworthConfig.order"),
+        ("butterworth", "order", True, "ButterworthConfig.order"),
+        ("butterworth", "cutoff_hz", "35", "ButterworthConfig.cutoff_hz"),
+        ("network", "stage_widths", "abc", "NetworkConfig.stage_widths"),
+        ("network", "stage_widths", [8, 16.5, 32],
+         "NetworkConfig.stage_widths"),
+        (None, "butterworth", 5, "PipelineConfig.butterworth"),
+        (None, "feature_length", 1024.0, "PipelineConfig.feature_length"),
+        ("butterworth", "order", 0, "order must be >= 1"),  # a bad value
+    ])
+    def test_bad_value_fails_in_config_stage(self, tmp_path, capsys,
+                                             section, key, value, name):
+        fields = asdict(PipelineConfig())
+        (fields[section] if section else fields)[key] = value
+        self.assert_config_stage_names(tmp_path, capsys, fields, name)
+
     @staticmethod
     def assert_config_stage_names(tmp_path, capsys, fields, key):
         bad = tmp_path / "bad.json"
@@ -96,6 +113,18 @@ class TestConfig:
             DetectorConfig(update_factor=0.0)
         with pytest.raises(ValueError):
             GateConfig(bpm_low=200.0, bpm_high=30.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ScalogramConfig(num_scales=0),
+        lambda: ScalogramConfig(iterations=3),
+        lambda: ButterworthConfig(order=0),
+        lambda: ButterworthConfig(cutoff_hz=0.0),
+        lambda: ButterworthConfig(cutoff_hz=float("nan")),
+    ], ids=["no_scales", "coarse_wavelet", "order_0", "cutoff_0",
+            "cutoff_nan"])
+    def test_stage_configs_check_themselves(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_init_config_command(self, tmp_path):
         out = tmp_path / "default.json"

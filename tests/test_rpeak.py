@@ -148,7 +148,8 @@ class TestDetect:
         rec, _ = synth_ecg(SynthSpec(duration=30.0, bpm=80.0,
                                      noise_sigma=0.05, seed=9))
         base = rpeak.detect_rpeaks(rec).indices
-        for alpha in (1e-3, 0.1, 42.0, 1e4):
+        for alpha in (1e-300, 1e-200, 1e-150, 1e-3, 0.1, 42.0, 1e4,
+                      1e150, 1e200, 1e300):
             scaled = EcgRecord(id="s", fs=FS, samples=alpha * rec.samples)
             np.testing.assert_array_equal(
                 rpeak.detect_rpeaks(scaled).indices, base)

@@ -68,7 +68,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch size >= 1 and epochs >= 0 required")

@@ -33,7 +33,7 @@ class PipelineConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.fs_default <= 0:
+        if not self.fs_default > 0:
             raise ValueError("fs_default must be positive")
         if self.feature_length < 2:
             raise ValueError("feature_length must be >= 2")

@@ -50,7 +50,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.integration_window < 1:
             raise ValueError("integration window must be >= 1")
-        if self.refractory_s <= 0 or self.init_window_s <= 0:
+        if not (self.refractory_s > 0 and self.init_window_s > 0):
             raise ValueError("refractory and init window must be positive")
         if not 0 < self.update_factor <= 1 or not 0 < self.threshold_fraction <= 1:
             raise ValueError("update/threshold factors must lie in (0, 1]")

@@ -6,8 +6,9 @@ import pytest
 
 from ecgscalo import cli, ingest, pipeline, rpeak, scalogram
 from ecgscalo.classifier import NetworkConfig, TrainConfig
-from ecgscalo.config import (ButterworthConfig, PipelineConfig,
-                             ScalogramConfig, load_config, save_config)
+from ecgscalo.config import (ButterworthConfig, DetectorConfig,
+                             PipelineConfig, ScalogramConfig, load_config,
+                             save_config)
 from ecgscalo.ingest import EcgRecord, SynthSpec, synth_ecg
 
 
@@ -83,6 +84,7 @@ class TestConfig:
         (None, "butterworth", 5, "PipelineConfig.butterworth"),
         (None, "feature_length", 1024.0, "PipelineConfig.feature_length"),
         ("butterworth", "order", 0, "order must be >= 1"),  # a bad value
+        (None, "fs_default", float("nan"), "fs_default must be positive"),
     ])
     def test_bad_value_fails_in_config_stage(self, tmp_path, capsys,
                                              section, key, value, name):
@@ -120,8 +122,13 @@ class TestConfig:
         lambda: ButterworthConfig(order=0),
         lambda: ButterworthConfig(cutoff_hz=0.0),
         lambda: ButterworthConfig(cutoff_hz=float("nan")),
+        lambda: PipelineConfig(fs_default=float("nan")),
+        lambda: DetectorConfig(refractory_s=float("nan")),
+        lambda: DetectorConfig(init_window_s=float("nan")),
+        lambda: TrainConfig(learning_rate=float("nan")),
     ], ids=["no_scales", "coarse_wavelet", "order_0", "cutoff_0",
-            "cutoff_nan"])
+            "cutoff_nan", "fs_default_nan", "refractory_nan",
+            "init_window_nan", "learning_rate_nan"])
     def test_stage_configs_check_themselves(self, make):
         with pytest.raises(ValueError):
             make()

@@ -49,8 +49,14 @@ class NetworkConfig:
             raise ValueError("classifier is fixed at four classes")
         if len(self.stage_widths) != len(self.blocks_per_stage):
             raise ValueError("one block count per stage is required")
-        if not self.stage_widths or min(self.blocks_per_stage) < 1:
-            raise ValueError("need at least one stage with depth >= 1")
+        if not self.stage_widths:
+            raise ValueError("need at least one stage")
+        sizes = (*self.stage_widths, *self.blocks_per_stage,
+                 self.input_height, self.input_width)
+        if not all(isinstance(v, (int, np.integer)) and v >= 1
+                   for v in sizes):
+            raise ValueError("stage widths, depths and input sizes must be "
+                             f"positive integers, not {sizes}")
         halvings = len(self.stage_widths) - 1
         if (self.input_height % (1 << halvings)
                 or self.input_width % (1 << halvings)):

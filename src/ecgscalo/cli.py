@@ -23,8 +23,6 @@ from ecgscalo import (classifier, dsp, featurize, ingest, metrics, pipeline,
 from ecgscalo.config import PipelineConfig, load_config, save_config
 from ecgscalo.ingest import CLASS_SYMBOLS, EcgClass
 
-RECORD_EXTENSIONS = (".csv", ".raw16", ".bin", ".mat")
-
 
 class StageError(Exception):
     def __init__(self, stage: str, original: Exception):
@@ -72,7 +70,7 @@ def _load_record(path, cfg: PipelineConfig, fmt=None) -> ingest.EcgRecord:
 
 def _discover_records(data_dir) -> list[Path]:
     paths = sorted(p for p in Path(data_dir).iterdir()
-                   if p.suffix.lower() in RECORD_EXTENSIONS)
+                   if p.suffix.lower() in ingest.FORMATS)
     if not paths:
         raise FileNotFoundError(f"no record files under {data_dir}")
     return paths
@@ -269,31 +267,34 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
+    record_format = argparse.ArgumentParser(add_help=False)
+    record_format.add_argument(
+        "--format", choices=tuple(dict.fromkeys(ingest.FORMATS.values())))
 
-    p = sub.add_parser("preprocess", help="Butterworth-filter a record to csv")
+    p = sub.add_parser("preprocess", parents=[record_format],
+                       help="Butterworth-filter a record to csv")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--format", choices=("csv", "raw16", "mat5"))
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("detect", help="emit R-peak indices as csv")
+    p = sub.add_parser("detect", parents=[record_format],
+                       help="emit R-peak indices as csv")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--format", choices=("csv", "raw16", "mat5"))
     p.add_argument("--taps", help="directory for the four intermediate taps")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("featurize", help="emit the feature wave as csv")
+    p = sub.add_parser("featurize", parents=[record_format],
+                       help="emit the feature wave as csv")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--format", choices=("csv", "raw16", "mat5"))
     p.add_argument("--peaks", help="reuse R-peak indices from a detect run")
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("scalogram", help="emit the time-frequency diagram")
+    p = sub.add_parser("scalogram", parents=[record_format],
+                       help="emit the time-frequency diagram")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--format", choices=("csv", "raw16", "mat5"))
     p.add_argument("--image-format", choices=("pgm", "f32"), default="pgm")
     p.add_argument("--from-wave", action="store_true",
                    help="input is a feature-wave csv, not a record")
@@ -312,10 +313,10 @@ def main(argv=None) -> int:
     p.add_argument("report_out", nargs="?")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="print N/A/O/~ for one record")
+    p = sub.add_parser("predict", parents=[record_format],
+                       help="print N/A/O/~ for one record")
     p.add_argument("record")
     p.add_argument("model")
-    p.add_argument("--format", choices=("csv", "raw16", "mat5"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("init-config", help="write the default config JSON")

@@ -130,8 +130,11 @@ class IirCascade:
         degree M, |h[n]| <= |b|_1 C(n + N - 1, N - 1) R^(n - M) for n >= M.
         The response is cut at the first n from which that bound, summed
         over the whole tail, is at most ``TAIL_BOUND`` times the peak of h.
-        Each section's difference equation runs on an impulse that doubles
-        in length until the cut falls inside it.
+        The summed bound only shrinks as n grows, so each cut is found by
+        galloping and bisection. The largest of h[0..M] is at most the
+        peak, so its cut is as long as the recursion ever needs to run:
+        each section's difference equation runs once, over that many
+        samples.
         """
         num = np.array([self.gain])
         radius = 0.0
@@ -142,23 +145,32 @@ class IirCascade:
         if radius == 0.0:  # every pole at the origin: h is b itself
             num.flags.writeable = False
             return num
-        length = num.size
-        while True:
-            length *= 2
-            h = self._impulse_response(length)
-            n = np.arange(length + 1)
-            log_bound = (np.log(np.sum(np.abs(num)))
-                         + np.log1p(n[:, None] / np.arange(1, poles)).sum(1)
-                         + (n - degree) * np.log(radius))
+        log_l1, log_radius = np.log(np.sum(np.abs(num))), np.log(radius)
+        k = np.arange(1, poles)
+
+        def tail(n: int) -> float:
+            """The bound on |h[n]| + |h[n + 1]| + ..., or inf."""
             ratio = radius * (n + poles) / (n + 1)  # bound[n+1] / bound[n]
-            shrinking = (n >= degree) & (ratio < 1.0)
-            tail = np.full(n.size, np.inf)
-            tail[shrinking] = (np.exp(log_bound[shrinking])
-                               / (1.0 - ratio[shrinking]))
-            cut = np.flatnonzero(tail <= TAIL_BOUND * np.max(np.abs(h)))
-            if cut.size:
-                break
-        taps = h[:cut[0]].copy()
+            if n < degree or ratio >= 1.0:
+                return np.inf
+            log_bound = (log_l1 + np.log1p(n / k).sum()
+                         + (n - degree) * log_radius)
+            return np.exp(log_bound) / (1.0 - ratio)
+
+        def cut(limit: float) -> int:
+            """The first n with tail(n) <= limit."""
+            lo, hi = -1, 1  # tail(lo) > limit, or lo is before the start
+            while tail(hi) > limit:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if tail(mid) <= limit else (mid, hi)
+            return hi
+
+        head = self._impulse_response(num.size)  # h[0..M]: zero only if b is
+        h = self._impulse_response(
+            cut(TAIL_BOUND * np.max(np.abs(head))))
+        taps = h[:cut(TAIL_BOUND * np.max(np.abs(h)))].copy()
         taps.flags.writeable = False
         return taps
 

@@ -30,6 +30,8 @@ import numpy as np
 DEFAULT_FS = 200.0  # Hz, used when no sidecar or header supplies a rate
 DEFAULT_MAT_SCALE = 1e-3  # mV per ADC unit for challenge-style int16 data
 FS_SOURCES = ("given", "sidecar", "header", "default")
+# record file extension -> format name, as ``load_record`` infers it
+FORMATS = {".csv": "csv", ".raw16": "raw16", ".bin": "raw16", ".mat": "mat5"}
 
 
 class EcgClass(IntEnum):
@@ -138,15 +140,13 @@ def load_record(path, fmt: str | None = None,
     """Load one record from disk.
 
     ``fmt`` is one of ``csv`` / ``raw16`` / ``mat5``; when omitted it is
-    inferred from the file extension (.csv, .raw16/.bin, .mat). A csv or
-    mat5 record whose rate no sidecar or header gives is read at
-    ``default_fs``.
+    inferred from the file extension by ``FORMATS``. A csv or mat5 record
+    whose rate no sidecar or header gives is read at ``default_fs``.
     """
     path = Path(path)
     if fmt is None:
         ext = path.suffix.lower()
-        fmt = {".csv": "csv", ".raw16": "raw16", ".bin": "raw16",
-               ".mat": "mat5"}.get(ext)
+        fmt = FORMATS.get(ext)
         if fmt is None:
             raise FormatError(f"cannot infer format from extension {ext!r}")
     if fmt == "csv":

@@ -172,63 +172,45 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
 
 
-@dataclass
-class _Thresholds:
-    """Running signal/noise level estimates on the integrated waveform."""
-
-    signal: float
-    noise: float
-    fraction: float
-    update: float
-
-    @property
-    def value(self) -> float:
-        return self.noise + self.fraction * (self.signal - self.noise)
-
-    def mark_signal(self, v: float) -> None:
-        self.signal = self.update * v + (1.0 - self.update) * self.signal
-
-    def mark_noise(self, v: float) -> None:
-        self.noise = self.update * v + (1.0 - self.update) * self.noise
-
-
-def _threshold_scan(mwi: np.ndarray, thr: _Thresholds, refr: int,
-                    searchback_factor: float) -> list[int]:
+def _threshold_scan(mwi: np.ndarray, signal: float, noise: float,
+                    cfg: DetectorConfig, refr: int) -> list[int]:
     """Integrated-waveform maxima accepted as beats, in order.
 
-    Each local maximum at least ``refr`` samples after the last accepted
-    one is a beat if it exceeds the threshold and noise otherwise. When no
-    beat has been accepted for ``searchback_factor`` times the mean of the
-    last (up to 8) RR intervals, the largest maximum since the last beat's
-    refractory period that exceeds half the threshold is accepted first.
+    ``signal`` and ``noise`` are the initial running levels; the threshold
+    is ``noise + cfg.threshold_fraction * (signal - noise)``, and each
+    maximum moves the level of its kind by ``cfg.update_factor`` towards
+    its value. A local maximum at least ``refr`` samples after the last
+    accepted one is a beat if it exceeds the threshold and noise otherwise.
+    When no beat has been accepted for ``cfg.searchback_factor`` times the
+    mean of the last (up to 8) RR intervals, the largest maximum since the
+    last beat's refractory period that exceeds half the threshold is
+    accepted first.
     """
+    fraction, update = cfg.threshold_fraction, cfg.update_factor
     maxima = _local_maxima(mwi)
     peak_values = mwi[maxima]
     # the loop reads positions and values as Python scalars, once
     positions = maxima.tolist()
     values = peak_values.tolist()
     anchors: list[int] = []
-    rr_intervals: list[int] = []
-    rr_sum = 0  # of rr_intervals; exact, so rr_sum / n is np.mean's value
+    rr: list[int] = []  # integer sums are exact: sum / len is np.mean's value
 
     def accept(idx: int, value: float) -> None:
-        nonlocal rr_sum
+        nonlocal signal
         if anchors:
-            rr = idx - anchors[-1]
-            rr_intervals.append(rr)
-            rr_sum += rr
-            if len(rr_intervals) > 8:
-                rr_sum -= rr_intervals.pop(0)
+            rr.append(idx - anchors[-1])
+            del rr[:-8]
         anchors.append(idx)
-        thr.mark_signal(value)
+        signal = update * value + (1.0 - update) * signal
 
     for pos, c in enumerate(positions):
         # searchback: no accepted peak for 1.66x the running RR average
-        if rr_intervals and (c - anchors[-1] > searchback_factor
-                             * (rr_sum / len(rr_intervals))):
+        if rr and (c - anchors[-1]
+                   > cfg.searchback_factor * (sum(rr) / len(rr))):
             first = bisect.bisect_left(positions, anchors[-1] + refr)
             back = peak_values[first:pos]
-            above = np.flatnonzero(back > thr.value / 2.0)
+            above = np.flatnonzero(
+                back > (noise + fraction * (signal - noise)) / 2.0)
             if above.size:
                 # the first of the largest, as max() over the candidates
                 best = first + int(above[np.argmax(back[above])])
@@ -236,10 +218,10 @@ def _threshold_scan(mwi: np.ndarray, thr: _Thresholds, refr: int,
         if anchors and c - anchors[-1] < refr:
             continue
         v = values[pos]
-        if v > thr.value:
+        if v > noise + fraction * (signal - noise):
             accept(c, v)
         else:
-            thr.mark_noise(v)
+            noise = update * v + (1.0 - update) * noise
     return anchors
 
 
@@ -277,12 +259,8 @@ def detect_rpeaks(record: EcgRecord,
 
     refr = int(round(cfg.refractory_s * DESIGN_FS))
     init_n = min(int(round(cfg.init_window_s * DESIGN_FS)), n)
-    thr = _Thresholds(signal=float(np.max(mwi[:init_n])),
-                      noise=float(np.mean(mwi[:init_n])),
-                      fraction=cfg.threshold_fraction,
-                      update=cfg.update_factor)
-
-    anchors = _threshold_scan(mwi, thr, refr, cfg.searchback_factor)
+    anchors = _threshold_scan(mwi, float(np.max(mwi[:init_n])),
+                              float(np.mean(mwi[:init_n])), cfg, refr)
 
     # refine to the band-passed local maximum and undo the filter delay
     half = int(round(0.1 * DESIGN_FS))

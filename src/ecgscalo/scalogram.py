@@ -14,7 +14,7 @@ and f taken as zero outside its support. Rows of the coefficient matrix are
 scales (smallest first), columns are shifts. The sums are evaluated by FFT:
 one real transform of the zero-padded wave, multiplied by the conjugate
 spectra of the dilated wavelet kernels, and one inverse transform. The
-kernel spectra are memoised on the (immutable) wavelet table, and
+kernel spectra are cached per (table, scales, wave length, fs), and
 ``build_db4`` is cached per resolution, so repeated transforms at the same
 scales and wave length pay only the two transforms.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,6 @@ from ecgscalo.featurize import FeatureWave
 
 SUPPORT_END = 7.0  # the 8-tap family lives on [0, 7] in natural wavelet time
 VANISHING_MOMENTS = 4
-# kernel-spectra sets one table keeps; one set is the default 64 scales of
-# a 1024-sample wave, (64, 769) complex, about 0.8 MB
-SPECTRA_MEMO_ENTRIES = 4
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class ScalogramConfig:
             raise ValueError("need >= 1 scale and >= 4 wavelet iterations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletTable:
     """Wavelet samples on a dyadic grid over the compact support [0, 7].
 
@@ -58,14 +55,13 @@ class WaveletTable:
     refinement levels). Values between grid points are read by
     nearest-sample lookup; arguments outside the support read zero.
 
-    The table is immutable and ``psi`` is a read-only copy, so the kernel
-    spectra ``cwt`` memoises on it can never go stale.
+    The table is immutable, ``psi`` is a read-only copy and tables hash by
+    identity, so the kernel spectra ``cwt`` caches per table can never go
+    stale.
     """
 
     psi: np.ndarray
     resolution: int
-    _spectra: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         psi = np.array(self.psi, dtype=np.float64)
@@ -186,7 +182,10 @@ def build_db4(iterations: int) -> WaveletTable:
     return WaveletTable(psi=psi, resolution=2 ** iterations)
 
 
-def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
+# one set is the default 64 scales of a 1024-sample wave, (64, 769)
+# complex, about 0.8 MB
+@functools.lru_cache(maxsize=4)
+def _kernel_spectra(wavelet: WaveletTable, scale_bytes: bytes, length: int,
                     fs: float) -> tuple[int, np.ndarray]:
     """Transform length and per-scale conjugate kernel spectra for ``cwt``.
 
@@ -194,13 +193,10 @@ def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
     conjugated (so the product with the wave's spectrum correlates) and
     multiplied by the row prefactor dt / sqrt(a_j). The transform is long
     enough that the circular correlation never wraps onto the wave.
-    Memoised on the table, at most ``SPECTRA_MEMO_ENTRIES`` sets.
+    ``scale_bytes`` is the float64 scale array's ``tobytes()``, a hashable
+    cache key; the spectra are read-only.
     """
-    key = (scales.tobytes(), length, float(fs))
-    memo = wavelet._spectra
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    scales = np.frombuffer(scale_bytes)
     reach = SUPPORT_END * float(np.max(scales))
     if reach > 8 * length:
         raise ValueError(
@@ -214,9 +210,6 @@ def _kernel_spectra(wavelet: WaveletTable, scales: np.ndarray, length: int,
     prefactor = (1.0 / fs) / np.sqrt(scales)
     spectra = np.conj(np.fft.rfft(padded, axis=1)) * prefactor[:, None]
     spectra.flags.writeable = False
-    if len(memo) >= SPECTRA_MEMO_ENTRIES:
-        memo.pop(next(iter(memo)), None)
-    memo[key] = (nfft, spectra)
     return nfft, spectra
 
 
@@ -228,7 +221,7 @@ def cwt(wave, scales, wavelet: WaveletTable, fs: float) -> Scalogram:
     cross-correlation of the signal with the dilated wavelet sampled at
     integer offsets, the signal being zero outside its support. The same
     sums are evaluated by FFT: the zero-padded wave's spectrum times the
-    kernel spectra memoised on ``wavelet``, then one inverse transform.
+    cached kernel spectra, then one inverse transform.
     """
     f = wave.samples if isinstance(wave, FeatureWave) else np.asarray(
         wave, dtype=np.float64)
@@ -238,7 +231,8 @@ def cwt(wave, scales, wavelet: WaveletTable, fs: float) -> Scalogram:
     if f.size == 0:
         raise ValueError("empty input wave")
     length = f.size
-    nfft, spectra = _kernel_spectra(wavelet, scales, length, fs)
+    nfft, spectra = _kernel_spectra(wavelet, scales.tobytes(), length,
+                                    float(fs))
     rows = np.fft.irfft(np.fft.rfft(f, nfft) * spectra, nfft, axis=1)
     coeffs = np.ascontiguousarray(rows[:, :length])
     return Scalogram(coeffs=coeffs, scales=scales, fs=fs)

@@ -256,7 +256,9 @@ class TestTraining:
     def test_divergence_reports_epoch_and_batch(self, quadrant_dataset):
         data = quadrant_dataset(n_per_class=4, height=16, width=32, seed=3)
         net = NetworkConfig((2, 4), (1, 1), 16, 32)
-        with pytest.raises(RuntimeError, match=r"epoch \d+, batch \d+"):
+        # the step size overflows the weights on purpose
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(RuntimeError, match=r"epoch \d+, batch \d+"):
             train(data, net, TrainConfig(learning_rate=1e120, epochs=5,
                                          seed=1))
 
@@ -410,6 +412,16 @@ class TestCheckpoint:
             header["config"]["stage_widths"] = [4, 16]
         self.rewrite(p, data, header)
         with pytest.raises(ValueError, match="do not match"):
+            load_model(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("stage_widths", [4.0, 8]), ("blocks_per_stage", [1, "1"]),
+        ("input_height", 8.5), ("input_width", None)])
+    def test_non_integer_sizes_rejected(self, tmp_path, field, value):
+        p, data, header = self.saved(tmp_path)
+        header["config"][field] = value
+        self.rewrite(p, data, header)
+        with pytest.raises(ValueError, match="positive integers"):
             load_model(p)
 
     def test_malformed_header_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -260,18 +261,52 @@ def assert_matches(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+CASCADE_DESIGNS = [
+    (6, 35.0, 200.0), (6, 35.0, 300.0), (6, 35.0, 500.0),
+    (2, 10.0, 100.0), (3, 10.0, 100.0), (5, 20.0, 300.0),
+    (8, 40.0, 300.0),
+    (8, 0.7, 360.0)]  # the long tail: over 4096 taps
+
+
+def tail_bound(cascade, n):
+    """The summed tail bound of ``IirCascade.taps`` written out directly,
+    |b|_1 C(n + N - 1, N - 1) R^(n - M) / (1 - R (n + N) / (n + 1)), or
+    inf where it does not hold."""
+    b, radius = np.array([cascade.gain]), 0.0
+    for b0, b1, b2, a1, a2 in cascade.sections:
+        b = np.convolve(b, [b0, b1, b2])
+        radius = max(radius, *np.abs(np.roots([1.0, a1, a2])))
+    degree, poles = b.size - 1, 2 * len(cascade.sections)
+    ratio = radius * (n + poles) / (n + 1)
+    if n < degree or ratio >= 1.0:
+        return math.inf
+    return (float(np.sum(np.abs(b))) * math.comb(n + poles - 1, poles - 1)
+            * radius ** (n - degree) / (1.0 - ratio))
+
+
 class TestAgainstDifferenceEquation:
-    @pytest.mark.parametrize("args", [
-        (6, 35.0, 200.0), (6, 35.0, 300.0), (6, 35.0, 500.0),
-        (2, 10.0, 100.0), (3, 10.0, 100.0), (5, 20.0, 300.0),
-        (8, 40.0, 300.0),
-        (8, 0.7, 360.0)])  # the long tail: over 4096 taps
+    @pytest.mark.parametrize("args", CASCADE_DESIGNS)
     def test_cascade(self, args):
         c = dsp.design_butterworth_lowpass(*args)
         rng = np.random.default_rng(int(args[2]) + args[0])
         for n in ORACLE_LENGTHS:
             x = random_input(rng, n)
             assert_matches(dsp.apply_filter(c, x), cascade_loop(c, x))
+
+    @pytest.mark.parametrize("args", CASCADE_DESIGNS)
+    def test_taps_cut_where_the_tail_bound_first_fits(self, args):
+        # the taps are the impulse response up to the first n with
+        # tail(n) <= TAIL_BOUND * peak; the slack covers the rounding of
+        # the log-domain bound, while consecutive bounds differ by 0.2 % or
+        # more on these designs
+        c = dsp.design_butterworth_lowpass(*args)
+        cut, slack = c.taps.size, 1.0 + 1e-9
+        limit = dsp.TAIL_BOUND * np.max(np.abs(c.taps))
+        assert tail_bound(c, cut) <= limit * slack
+        assert limit < tail_bound(c, cut - 1) * slack
+        impulse = np.zeros(cut)
+        impulse[0] = 1.0
+        np.testing.assert_array_equal(c.taps, cascade_loop(c, impulse))
 
     def test_long_tail_is_not_truncated(self):
         assert dsp.design_butterworth_lowpass(8, 0.7, 360.0).taps.size > 4096

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +193,27 @@ class TestRPeaksType:
         assert rpeak.RPeaks(indices=np.array([1, 4, 9]), fs=FS).count == 3
 
 
+@dataclass
+class ReferenceThresholds:
+    """Running signal/noise levels as the detector first kept them, as an
+    object; the oracle's own copy of the threshold formulas."""
+
+    signal: float
+    noise: float
+    fraction: float
+    update: float
+
+    @property
+    def value(self):
+        return self.noise + self.fraction * (self.signal - self.noise)
+
+    def mark_signal(self, v):
+        self.signal = self.update * v + (1.0 - self.update) * self.signal
+
+    def mark_noise(self, v):
+        self.noise = self.update * v + (1.0 - self.update) * self.noise
+
+
 def reference_scan(mwi, thr, refr, searchback_factor):
     """The threshold loop as first written: np.mean over the RR list and a
     Python scan of the searchback candidates. Kept as the oracle for
@@ -229,15 +252,13 @@ def reference_scan(mwi, thr, refr, searchback_factor):
 def scans_agree(x):
     """Run both scans on the detector's integrated waveform of ``x``."""
     mwi = rpeak.pt_chain(np.concatenate([x, np.zeros(80)])).integrated
-    init = mwi[:400]
-
-    def thresholds():
-        return rpeak._Thresholds(signal=float(np.max(init)),
-                                 noise=float(np.mean(init)),
-                                 fraction=0.25, update=0.125)
-
-    fast = rpeak._threshold_scan(mwi, thresholds(), 40, 1.66)
-    slow = reference_scan(mwi, thresholds(), 40, 1.66)
+    signal, noise = float(np.max(mwi[:400])), float(np.mean(mwi[:400]))
+    cfg = rpeak.DetectorConfig(threshold_fraction=0.25, update_factor=0.125,
+                               searchback_factor=1.66)
+    fast = rpeak._threshold_scan(mwi, signal, noise, cfg, 40)
+    slow = reference_scan(
+        mwi, ReferenceThresholds(signal=signal, noise=noise, fraction=0.25,
+                                 update=0.125), 40, 1.66)
     assert fast == slow
     return fast
 

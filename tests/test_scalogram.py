@@ -222,25 +222,30 @@ class TestCaches:
         base = cwt(f, [1.0, 4.5], db4_table, fs=FS).coeffs
         negated = cwt(f, [1.0, 4.5], other, fs=FS).coeffs
         np.testing.assert_array_equal(negated, -base)
-        key = next(iter(other._spectra))
-        assert other._spectra[key] is not db4_table._spectra[key]
+        key = (np.array([1.0, 4.5]).tobytes(), 100, FS)
+        assert scalogram._kernel_spectra(other, *key)[1] \
+            is not scalogram._kernel_spectra(db4_table, *key)[1]
 
     def test_memoised_spectra_are_read_only(self, db4_table):
         cwt(np.ones(40), [1.0, 2.0], db4_table, fs=FS)
-        for _, spectra in db4_table._spectra.values():
-            assert not spectra.flags.writeable
+        hits = scalogram._kernel_spectra.cache_info().hits
+        _, spectra = scalogram._kernel_spectra(
+            db4_table, np.array([1.0, 2.0]).tobytes(), 40, FS)
+        assert scalogram._kernel_spectra.cache_info().hits == hits + 1
+        assert not spectra.flags.writeable
 
     def test_memo_stays_bounded(self):
         table = build_db4.__wrapped__(8)
         rng = np.random.default_rng(16)
+        info = scalogram._kernel_spectra.cache_info
         for i in range(50):
             length = 32 + i
             f = rng.standard_normal(length)
             scales = rng.uniform(0.5, 8.0, size=3)
             assert_rows_close(cwt(f, scales, table, fs=FS).coeffs,
                               cwt_direct(f, scales, table, FS))
-            assert len(table._spectra) <= scalogram.SPECTRA_MEMO_ENTRIES
-        assert len(table._spectra) == scalogram.SPECTRA_MEMO_ENTRIES
+            assert info().currsize <= info().maxsize
+        assert info().currsize == info().maxsize == 4
 
 
 class TestGrayscale:

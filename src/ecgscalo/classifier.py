@@ -332,14 +332,16 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
     """Momentum-SGD training over (image, label) pairs.
 
     Images are 2-D uint8 (rescaled to [0, 1]) or float arrays already in
-    real units, each read on its own. Given the same seed the result is
-    bit-identical: shuffle order, batching and update order are all fixed.
+    real units. Each is checked before the first step and kept, without a
+    copy when it is float64; each batch is stacked from them. Given the same
+    seed the result is bit-identical: shuffle order, batching and update
+    order are all fixed.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     images, labels = zip(*dataset)
-    x_all = np.concatenate([_check_batch(net, np.asarray(img)[None, None])
-                            for img in images])
+    images = [_check_batch(net, np.asarray(img)[None, None])[0]
+              for img in images]
     y_all = np.asarray([int(l) for l in labels], dtype=np.int64)
     if np.any((y_all < 0) | (y_all >= net.num_classes)):
         raise ValueError("labels must lie in [0, 3]")
@@ -347,7 +349,7 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
     model = init_model(net, tcfg.seed)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     rng = np.random.default_rng(tcfg.seed)
-    n = x_all.shape[0]
+    n = len(images)
     final_loss = float("nan")
 
     for epoch in range(tcfg.epochs):
@@ -356,8 +358,9 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
         for start in range(0, n, tcfg.batch_size):
             sel = order[start:start + tcfg.batch_size]
             batch_no = start // tcfg.batch_size
+            batch = np.stack([images[i] for i in sel])
             try:
-                loss, grads = loss_and_grad(model, x_all[sel], y_all[sel])
+                loss, grads = loss_and_grad(model, batch, y_all[sel])
             except FloatingPointError as exc:
                 raise RuntimeError(
                     f"training diverged (epoch {epoch}, batch {batch_no}: "

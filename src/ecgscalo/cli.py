@@ -68,14 +68,6 @@ def _load_record(path, cfg: PipelineConfig, fmt=None) -> ingest.EcgRecord:
     return record
 
 
-def _discover_records(data_dir) -> list[Path]:
-    paths = sorted(p for p in Path(data_dir).iterdir()
-                   if p.suffix.lower() in ingest.FORMATS)
-    if not paths:
-        raise FileNotFoundError(f"no record files under {data_dir}")
-    return paths
-
-
 def cmd_preprocess(args) -> int:
     """Raw record in, Butterworth-filtered csv (with fs sidecar) out."""
     cfg = _load_cfg(args)
@@ -160,24 +152,28 @@ def cmd_scalogram(args) -> int:
     return 0
 
 
-def _load_dataset(data_dir, labels_path, cfg: PipelineConfig):
-    labels = ingest.load_labels(labels_path)
-    paths = _discover_records(data_dir)
-    records = [_load_record(p, cfg) for p in paths]
-    missing = ingest.unlabeled_ids(labels, [r.id for r in records])
-    if missing:
-        raise ValueError(
-            f"records without labels: {', '.join(missing)}")
-    return records, labels
+def _labelled_inputs(data_dir, labels_path, cfg: PipelineConfig):
+    """Yield (network input, label) for each record file in path order,
+    holding one record at a time."""
+    with _stage("ingest"):
+        labels = ingest.load_labels(labels_path)
+        paths = sorted(p for p in Path(data_dir).iterdir()
+                       if p.suffix.lower() in ingest.FORMATS)
+        if not paths:
+            raise FileNotFoundError(f"no record files under {data_dir}")
+    for path in paths:
+        with _stage("ingest"):
+            record = _load_record(path, cfg)
+            if record.id not in labels:
+                raise ValueError(f"record {record.id} has no label")
+        with _stage("pipeline"):
+            x = pipeline.record_to_input(record, cfg)
+        yield x, labels[record.id]
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    with _stage("ingest"):
-        records, labels = _load_dataset(args.data_dir, args.labels, cfg)
-    with _stage("pipeline"):
-        dataset = [(pipeline.record_to_input(r, cfg), labels[r.id])
-                   for r in records]
+    dataset = list(_labelled_inputs(args.data_dir, args.labels, cfg))
     with _stage("train"):
         model = classifier.train(
             dataset, cfg.network, cfg.training,
@@ -188,13 +184,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    with _stage("ingest"):
-        records, labels = _load_dataset(args.data_dir, args.labels, cfg)
     with _stage("eval"):
         model = classifier.load_model(args.model)
-        preds = [classifier.predict(model, pipeline.record_to_input(r, cfg))
-                 for r in records]
-        truth = [labels[r.id] for r in records]
+        preds, truth = [], []
+        for x, label in _labelled_inputs(args.data_dir, args.labels, cfg):
+            preds.append(classifier.predict(model, x))
+            truth.append(label)
         cm = metrics.confusion(preds, truth)
         report = metrics.challenge_f1(cm)
         print(metrics.format_confusion(cm))

@@ -61,8 +61,14 @@ def extract_feature_wave(samples, peaks: RPeaks, length: int,
     the half-open span (step = span / length), so an input holding an exact
     number of cycles stays exactly periodic after resampling. Records that
     fail the gate, or that have fewer than six peaks, yield the zero wave.
+    Every peak must lie inside the record, gated or not.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    outside = peaks.indices[(peaks.indices < 0)
+                            | (peaks.indices >= samples.size)]
+    if outside.size:
+        raise ValueError(f"peak {outside[0]} falls outside the "
+                         f"{samples.size}-sample record")
     duration = samples.size / peaks.fs
     gated = gate_noise(peaks, duration, gate) or peaks.count < 6
     if gated:
@@ -71,10 +77,6 @@ def extract_feature_wave(samples, peaks: RPeaks, length: int,
     m = peaks.count // 2
     start = int(peaks.indices[m - 2])
     end = int(peaks.indices[m + 2])
-    if start < 0 or end >= samples.size:
-        raise ValueError(
-            f"peaks {start}..{end} fall outside the {samples.size}-sample "
-            f"record")
     window = samples[start:end + 1]
     positions = np.arange(length) * ((end - start) / length)
     resampled = np.interp(positions, np.arange(window.size), window)

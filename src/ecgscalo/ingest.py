@@ -181,10 +181,10 @@ def _load_csv(path: Path, default_fs: float) -> EcgRecord:
     if not values:
         raise FormatError("empty signal", 0)
     meta = _read_sidecar(path) or {}
+    scale = meta.get("scale", 1.0)
     return EcgRecord(id=meta.get("id", path.stem),
                      fs=meta.get("fs", default_fs),
-                     samples=np.array(values),
-                     scale=meta.get("scale", 1.0),
+                     samples=np.array(values) * scale, scale=scale,
                      fs_source="sidecar" if "fs" in meta else "default")
 
 
@@ -205,9 +205,15 @@ def _load_raw16(path: Path) -> EcgRecord:
 
 
 def write_raw16(record: EcgRecord, path) -> None:
-    """Quantize a record back to little-endian int16 plus JSON sidecar."""
+    """Quantize a record back to little-endian int16 plus JSON sidecar;
+    a sample outside the int16 range at the record's scale is an error."""
     path = Path(path)
-    raw = np.clip(np.round(record.samples / record.scale), -32768, 32767)
+    raw = np.round(record.samples / record.scale)
+    if raw.min() < -32768 or raw.max() > 32767:
+        peak = float(np.max(np.abs(record.samples)))
+        raise ValueError(f"record {record.id}: a {peak:g} mV sample is "
+                         f"{peak / record.scale:.0f} units at scale "
+                         f"{record.scale:g}, outside int16")
     path.write_bytes(raw.astype("<i2").tobytes())
     sidecar = {"id": record.id, "fs": record.fs, "scale": record.scale}
     path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
@@ -388,11 +394,6 @@ def load_labels(path) -> dict[str, EcgClass]:
                 raise FormatError(f"line {lineno}: duplicate id {rec_id!r}")
             labels[rec_id] = LABEL_SYMBOLS[symbol]
     return labels
-
-
-def unlabeled_ids(labels: dict[str, EcgClass], ids) -> list[str]:
-    """Record ids present on disk but absent from the label map."""
-    return sorted(set(ids) - set(labels))
 
 
 def synth_ecg(spec: SynthSpec) -> tuple[EcgRecord, np.ndarray]:

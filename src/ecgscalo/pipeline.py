@@ -34,10 +34,8 @@ def preprocess(record: EcgRecord, cfg: PipelineConfig) -> np.ndarray:
 
 
 def detect(record: EcgRecord, cfg: PipelineConfig,
-           filtered: np.ndarray | None = None) -> rpeak.RPeaks:
-    """R peaks of the preprocessed record."""
-    if filtered is None:
-        filtered = preprocess(record, cfg)
+           filtered: np.ndarray) -> rpeak.RPeaks:
+    """R peaks of the record's ``filtered`` samples."""
     clean = EcgRecord(id=record.id, fs=record.fs, samples=filtered,
                       scale=record.scale)
     return rpeak.detect_rpeaks(clean, cfg.detector)

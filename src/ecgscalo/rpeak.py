@@ -167,8 +167,6 @@ def detection_chain(record: EcgRecord, window: int) -> PtChainOutput:
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices i with x[i-1] < x[i] >= x[i+1] (plateaus keep their first sample)."""
-    if x.size < 3:
-        return np.empty(0, dtype=np.int64)
     return np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
 
 

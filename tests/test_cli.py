@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from ecgscalo import cli, ingest, pipeline, rpeak, scalogram
+from ecgscalo import classifier, cli, ingest, pipeline, rpeak, scalogram
 from ecgscalo.classifier import NetworkConfig, TrainConfig
 from ecgscalo.config import (ButterworthConfig, DetectorConfig,
                              PipelineConfig, ScalogramConfig, load_config,
@@ -144,6 +144,26 @@ class TestConfig:
         cfg = load_config(out)
         assert cfg.training.seed == 99
 
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        cfg = small_config(epochs=0, seed=3)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        data, labels = write_dataset(tmp_path, n_normal=1, n_noise=1)
+        model_path = tmp_path / "m.bin"
+        assert cli.main(["--config", str(cfg_path), "--seed", "7", "train",
+                         str(data), str(labels), str(model_path)]) == 0
+        model = classifier.load_model(model_path)
+        assert model.meta["seed"] == 7
+        fresh = classifier.init_model(cfg.network, 7)
+        assert all(np.array_equal(model.params[k], v)
+                   for k, v in fresh.params.items())
+
+    def test_dump_filter_to_stdout(self, tmp_path, capsys):
+        assert cli.main(["dump-filter", str(tmp_path / "f.json")]) == 0
+        assert cli.main(["dump-filter"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == (tmp_path / "f.json").read_text() + "\n"
+
     def test_dump_filter_coefficients(self, tmp_path):
         out = tmp_path / "filters.json"
         assert cli.main(["dump-filter", str(out)]) == 0
@@ -219,6 +239,25 @@ class TestCommands:
         header = b"P5\n256 16\n255\n"
         assert data.startswith(header)
         assert set(data[len(header):]) == {0}
+
+    def test_scalogram_f32_reads_back(self, tmp_path):
+        cfg = small_config()
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        data, _ = write_dataset(tmp_path, n_normal=1, n_noise=0)
+        out = tmp_path / "A000.f32"
+        rc = cli.main(["--config", str(cfg_path), "scalogram",
+                       str(data / "A000.raw16"), str(out),
+                       "--image-format", "f32"])
+        assert rc == 0
+        assert json.loads(out.with_suffix(".json").read_text())["fs"] == 1.0
+        back = scalogram.read_f32(out)
+        direct = pipeline.run_record(
+            ingest.load_record(data / "A000.raw16"), cfg).scalo
+        assert back.fs == 1.0
+        assert np.array_equal(back.scales, direct.scales)
+        assert np.array_equal(back.coeffs,
+                              direct.coeffs.astype(np.float32))
 
     def test_default_rate_is_reported(self, tmp_path, capsys):
         rec, _ = synth_ecg(SynthSpec(duration=10.0, bpm=70.0, seed=2))
@@ -322,6 +361,44 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err.strip())
         assert "A001" in err["error"]["message"]
 
+    def test_eval_fails_on_unlabeled_record_in_ingest(self, tmp_path,
+                                                      capsys):
+        cfg = small_config()
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        data, labels = write_dataset(tmp_path, n_normal=2, n_noise=1)
+        labels.write_text("A000,N\nZ000,~\n")  # A001 left unlabeled
+        model_path = tmp_path / "m.bin"
+        classifier.save_model(classifier.init_model(cfg.network, 0),
+                              model_path)
+        rc = cli.main(["--config", str(cfg_path), "eval", str(data),
+                       str(labels), str(model_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())["error"]
+        assert err["stage"] == "ingest"
+        assert err["message"] == "record A001 has no label"
+
+    def test_featurize_rejects_a_peak_outside_the_record(self, tmp_path,
+                                                         capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(), cfg_path)
+        data, _ = write_dataset(tmp_path, n_normal=1, n_noise=0)
+        base = ["--config", str(cfg_path)]
+        assert cli.main(base + ["detect", str(data / "A000.raw16"),
+                                str(tmp_path / "p.csv")]) == 0
+        with open(tmp_path / "p.csv", "a") as fh:
+            fh.write(f"{10**9}\n")
+        rc = cli.main(base + ["featurize", str(data / "A000.raw16"),
+                              str(tmp_path / "w.csv"),
+                              "--peaks", str(tmp_path / "p.csv")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["stage"] == "featurize"
+        assert "1000000000" in err["message"]
+        assert not (tmp_path / "w.csv").exists()
+
 
 class TestEndToEnd:
     def test_train_eval_predict(self, tmp_path, capsys):
@@ -354,6 +431,24 @@ class TestEndToEnd:
                               str(model_path)])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "~"
+
+    def test_train_matches_library_training(self, tmp_path, capsys):
+        cfg = small_config(epochs=2)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        data, labels = write_dataset(tmp_path, n_normal=3, n_noise=2)
+        assert cli.main(["--config", str(cfg_path), "train", str(data),
+                         str(labels), str(tmp_path / "cli.bin")]) == 0
+        truth = ingest.load_labels(labels)
+        dataset = []
+        for path in sorted(data.glob("*.raw16")):
+            record = ingest.load_record(path)
+            dataset.append((pipeline.record_to_input(record, cfg),
+                            truth[record.id]))
+        model = classifier.train(dataset, cfg.network, cfg.training)
+        classifier.save_model(model, tmp_path / "lib.bin")
+        assert ((tmp_path / "cli.bin").read_bytes()
+                == (tmp_path / "lib.bin").read_bytes())
 
     def test_training_is_reproducible_across_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

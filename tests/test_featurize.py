@@ -84,6 +84,14 @@ class TestExtract:
         assert wave.is_noise_gated
         assert np.all(wave.samples == 0.0)
 
+    @pytest.mark.parametrize("indices", [
+        [-1, 200, 400], [100, 300, 10**9],
+        list(range(100, 2000, 200)) + [10**9]])
+    def test_every_peak_must_lie_inside(self, indices):
+        # gated, too few and accepted peak sets alike are rejected
+        with pytest.raises(ValueError, match="outside the 2000-sample"):
+            extract_feature_wave(np.ones(2000), peaks_of(indices), 256)
+
     def test_gated_wave_invariant(self):
         with pytest.raises(ValueError):
             FeatureWave(samples=np.ones(8), is_noise_gated=True)

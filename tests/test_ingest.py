@@ -39,6 +39,16 @@ class TestLoadCsv:
         p.write_text("0.5\n")
         assert ingest.load_record(p).fs == 200.0
 
+    def test_sidecar_scale_is_applied(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("1\n-3\n")
+        (tmp_path / "r.json").write_text(json.dumps({"scale": 2}))
+        rec = ingest.load_record(p)
+        assert (rec.samples.tolist(), rec.scale) == ([2.0, -6.0], 2.0)
+        ingest.write_raw16(rec, tmp_path / "r.raw16")
+        back = ingest.load_record(tmp_path / "r.raw16")
+        assert back.samples.tolist() == [2.0, -6.0]
+
     def test_sidecar_overrides_fs(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("0.5\n")
@@ -116,6 +126,19 @@ class TestLoadRaw16:
         back = ingest.load_record(tmp_path / "rt.raw16")
         assert back.fs == 250.0
         assert np.max(np.abs(back.samples - rec.samples)) <= rec.scale
+
+    def test_int16_extremes_round_trip(self, tmp_path):
+        rec = EcgRecord(id="edge", fs=250.0, samples=[3.2767, -3.2768],
+                        scale=1e-4)
+        ingest.write_raw16(rec, tmp_path / "edge.raw16")
+        assert (tmp_path / "edge.raw16").read_bytes() == b"\xff\x7f\x00\x80"
+
+    @pytest.mark.parametrize("value", [5.0, -5.0, 3.2768, -3.2769])
+    def test_write_rejects_samples_outside_int16(self, tmp_path, value):
+        rec = EcgRecord(id="big", fs=250.0, samples=[0.0, value], scale=1e-4)
+        with pytest.raises(ValueError, match=f"big: a {abs(value):g} mV"):
+            ingest.write_raw16(rec, tmp_path / "big.raw16")
+        assert not (tmp_path / "big.raw16").exists()
 
 
 class TestLoadMat5:
@@ -339,10 +362,6 @@ class TestLabels:
         p.write_text("A1,N\nA2,Q\n")
         with pytest.raises(FormatError, match="line 2"):
             ingest.load_labels(p)
-
-    def test_unlabeled_ids(self):
-        labels = {"A1": EcgClass.Normal}
-        assert ingest.unlabeled_ids(labels, ["A1", "A2", "A0"]) == ["A0", "A2"]
 
 
 class TestSynth:

@@ -264,6 +264,11 @@ def scans_agree(x):
 
 
 class TestThresholdScan:
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_no_maxima_in_fewer_than_three_samples(self, size):
+        maxima = rpeak._local_maxima(np.arange(size, dtype=np.float64))
+        assert maxima.size == 0 and maxima.dtype.kind == "i"
+
     def test_matches_reference_on_synthetic_records(self):
         for seed in range(12):
             rng = np.random.default_rng(seed)

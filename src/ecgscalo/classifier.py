@@ -74,8 +74,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning rate must be finite and >= 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch size >= 1 and epochs >= 0 required")
 
@@ -201,18 +203,23 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
     return loss, dlogits / n
 
 
-def _check_batch(config: NetworkConfig, x) -> np.ndarray:
-    """The network's input gate: uint8 pixels are read as [0, 1], any other
-    input as float64, and the batch must be [B, 1, H, W]."""
+def check_batch(config: NetworkConfig, x) -> np.ndarray:
+    """The network's input gate and the only place pixels become floats: a
+    uint8 batch of diagrams [B, 1, kH, mW], for whole k and m, is read as
+    [0, 1] and block-averaged onto the H x W grid; any other input is read
+    as float64 and must be [B, 1, H, W] already."""
     x = np.asarray(x)
-    x = pixels_to_unit(x) if x.dtype == np.uint8 else x.astype(
-        np.float64, copy=False)
-    expected = (1, config.input_height, config.input_width)
-    if x.ndim != 4 or x.shape[1:] != expected:
-        raise ValueError(
-            f"batch shape {x.shape} does not match [B, 1, "
-            f"{config.input_height}, {config.input_width}]")
-    return x
+    h, w = config.input_height, config.input_width
+    if x.dtype == np.uint8 and x.ndim == 4:
+        (kh, rh), (kw, rw) = divmod(x.shape[2], h), divmod(x.shape[3], w)
+        if kh and kw and not rh and not rw:
+            x = (x.astype(np.float64) / 255.0).reshape(
+                *x.shape[:2], h, kh, w, kw).mean(axis=(3, 5))
+    if x.shape[1:] != (1, h, w):
+        kind = "a whole multiple of " if x.dtype == np.uint8 else ""
+        raise ValueError(f"batch shape {x.shape} does not match {kind}"
+                         f"[B, 1, {h}, {w}]")
+    return x.astype(np.float64, copy=False)
 
 
 def _unwind(tape: list, dy):
@@ -285,15 +292,15 @@ def _run(model: Model, x: np.ndarray, grads: dict | None = None):
 
 
 def forward(model: Model, batch) -> np.ndarray:
-    """Logits [B, 4] for a batch [B, 1, H, W], uint8 pixels read as [0, 1];
-    deterministic and stateless."""
-    return _run(model, _check_batch(model.config, batch))
+    """Logits [B, 4] for a batch that ``check_batch`` accepts; deterministic
+    and stateless."""
+    return _run(model, check_batch(model.config, batch))
 
 
 def loss_and_grad(model: Model, batch, labels) -> tuple[float, dict[str, np.ndarray]]:
     """Mean softmax cross-entropy plus gradients for every parameter."""
     grads = dict.fromkeys(model.params)
-    logits, backward = _run(model, _check_batch(model.config, batch), grads)
+    logits, backward = _run(model, check_batch(model.config, batch), grads)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     backward(dlogits)
     return loss, grads
@@ -306,7 +313,7 @@ def gradient_check(model: Model, batch, labels,
     Returns the maximum relative error per parameter tensor; backprop and the
     difference quotient share nothing but the forward pass.
     """
-    x = _check_batch(model.config, batch)
+    x = check_batch(model.config, batch)
     _, grads = loss_and_grad(model, x, labels)
     report: dict[str, float] = {}
     for name, tensor in model.params.items():
@@ -331,17 +338,18 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
           on_epoch=None) -> Model:
     """Momentum-SGD training over (image, label) pairs.
 
-    Images are 2-D uint8 (rescaled to [0, 1]) or float arrays already in
-    real units. Each is checked before the first step and kept, without a
-    copy when it is float64; each batch is stacked from them. Given the same
-    seed the result is bit-identical: shuffle order, batching and update
-    order are all fixed.
+    Images are 2-D uint8 diagrams or float arrays on the network grid, as
+    ``check_batch`` reads them. Each is checked before the first step and
+    kept as given; each batch passes its images through the gate one by
+    one, so a dataset may mix both kinds. Given the same seed the result is
+    bit-identical: shuffle order, batching and update order are all fixed.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     images, labels = zip(*dataset)
-    images = [_check_batch(net, np.asarray(img)[None, None])[0]
-              for img in images]
+    images = [np.asarray(img)[None, None] for img in images]
+    for img in images:
+        check_batch(net, img)
     y_all = np.asarray([int(l) for l in labels], dtype=np.int64)
     if np.any((y_all < 0) | (y_all >= net.num_classes)):
         raise ValueError("labels must lie in [0, 3]")
@@ -358,7 +366,8 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
         for start in range(0, n, tcfg.batch_size):
             sel = order[start:start + tcfg.batch_size]
             batch_no = start // tcfg.batch_size
-            batch = np.stack([images[i] for i in sel])
+            batch = np.concatenate([check_batch(net, images[i])
+                                    for i in sel])
             try:
                 loss, grads = loss_and_grad(model, batch, y_all[sel])
             except FloatingPointError as exc:
@@ -383,11 +392,6 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
     return model
 
 
-def pixels_to_unit(pixels) -> np.ndarray:
-    """8-bit pixels as float64 in [0, 1]."""
-    return pixels.astype(np.float64) / 255.0
-
-
 def predict(model: Model, image) -> EcgClass:
     """Class of a single image; ties break toward the lower class index."""
     logits = forward(model, np.asarray(image)[None, None])
@@ -398,17 +402,6 @@ def accuracy(model: Model, dataset) -> float:
     hits = sum(1 for img, label in dataset
                if predict(model, img) == int(label))
     return hits / len(dataset)
-
-
-def area_downsample(image, out_height: int, out_width: int) -> np.ndarray:
-    """Block-mean downsampling; input dims must be integer multiples."""
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
-    if h % out_height or w % out_width:
-        raise ValueError(
-            f"cannot area-average {h}x{w} onto {out_height}x{out_width}")
-    return img.reshape(out_height, h // out_height,
-                       out_width, w // out_width).mean(axis=(1, 3))
 
 
 def save_model(model: Model, path) -> None:

@@ -153,12 +153,14 @@ def cmd_scalogram(args) -> int:
 
 
 def _labelled_inputs(data_dir, labels_path, cfg: PipelineConfig):
-    """Yield (network input, label) for each record file in path order,
-    holding one record at a time."""
+    """Yield (8-bit diagram, label) for each record file in path order,
+    holding one record at a time; the labels file is no record."""
     with _stage("ingest"):
         labels = ingest.load_labels(labels_path)
+        skip = Path(labels_path).resolve()
         paths = sorted(p for p in Path(data_dir).iterdir()
-                       if p.suffix.lower() in ingest.FORMATS)
+                       if p.suffix.lower() in ingest.FORMATS
+                       and p.resolve() != skip)
         if not paths:
             raise FileNotFoundError(f"no record files under {data_dir}")
     for path in paths:
@@ -167,8 +169,8 @@ def _labelled_inputs(data_dir, labels_path, cfg: PipelineConfig):
             if record.id not in labels:
                 raise ValueError(f"record {record.id} has no label")
         with _stage("pipeline"):
-            x = pipeline.record_to_input(record, cfg)
-        yield x, labels[record.id]
+            pixels = pipeline.run_record(record, cfg).image.pixels
+        yield pixels, labels[record.id]
 
 
 def cmd_train(args) -> int:
@@ -214,7 +216,8 @@ def cmd_predict(args) -> int:
         record = _load_record(args.record, cfg, args.format)
     with _stage("predict"):
         model = classifier.load_model(args.model)
-        cls = classifier.predict(model, pipeline.record_to_input(record, cfg))
+        cls = classifier.predict(model,
+                                 pipeline.run_record(record, cfg).image.pixels)
         print(CLASS_SYMBOLS[cls])
     return 0
 

@@ -43,6 +43,9 @@ def confusion(preds, labels) -> np.ndarray:
     if len(preds) != len(labels):
         raise ValueError(
             f"{len(preds)} predictions vs {len(labels)} labels")
+    for v in (*preds, *labels):
+        if not 0 <= v < 4:
+            raise ValueError(f"class {v} is not one of 0..3")
     cm = np.zeros((4, 4), dtype=np.int64)
     for t, p in zip(labels, preds):
         cm[t, p] += 1

@@ -75,10 +75,9 @@ def run_record(record: EcgRecord, cfg: PipelineConfig,
 
 def network_input(image: scalogram.GrayImage,
                   cfg: PipelineConfig) -> np.ndarray:
-    """Rescale pixels to [0, 1] and area-average onto the network grid."""
-    real = classifier.pixels_to_unit(image.pixels)
-    return classifier.area_downsample(real, cfg.network.input_height,
-                                      cfg.network.input_width)
+    """The image as ``cfg.network`` reads it: pixels rescaled to [0, 1] and
+    area-averaged onto its grid by the classifier's input gate."""
+    return classifier.check_batch(cfg.network, image.pixels[None, None])[0, 0]
 
 
 def record_to_input(record: EcgRecord, cfg: PipelineConfig,

@@ -54,6 +54,8 @@ class DetectorConfig:
             raise ValueError("refractory and init window must be positive")
         if not 0 < self.update_factor <= 1 or not 0 < self.threshold_fraction <= 1:
             raise ValueError("update/threshold factors must lie in (0, 1]")
+        if not 0 < self.searchback_factor < np.inf:
+            raise ValueError("searchback factor must be positive and finite")
 
 
 @functools.cache

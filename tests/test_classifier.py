@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ecgscalo
 from ecgscalo import classifier
-from ecgscalo.classifier import (NetworkConfig, TrainConfig,
-                                 area_downsample, forward, gradient_check,
+from ecgscalo.classifier import (NetworkConfig, TrainConfig, check_batch,
+                                 forward, gradient_check,
                                  init_model, load_model, loss_and_grad,
                                  predict, save_model, softmax_cross_entropy,
                                  train)
@@ -166,9 +166,8 @@ class TestForward:
         model = init_model(TINY, seed=4)
         pixels = np.random.default_rng(2).integers(
             0, 256, size=(2, 1, 8, 16)).astype(np.uint8)
-        np.testing.assert_array_equal(
-            forward(model, pixels),
-            forward(model, classifier.pixels_to_unit(pixels)))
+        np.testing.assert_array_equal(forward(model, pixels),
+                                      forward(model, pixels / 255))
 
     @pytest.mark.parametrize("cfg", [
         NetworkConfig((4,), (1,), 8, 16),
@@ -261,6 +260,21 @@ class TestTraining:
                 pytest.raises(RuntimeError, match=r"epoch \d+, batch \d+"):
             train(data, net, TrainConfig(learning_rate=1e120, epochs=5,
                                          seed=1))
+
+    def test_mixed_diagrams_and_floats_train_as_floats(self,
+                                                       quadrant_dataset):
+        diagrams = quadrant_dataset(n_per_class=4, height=32, width=64,
+                                    seed=3)
+        net = NetworkConfig((2, 4), (1, 1), 16, 32)
+        floats = [(check_batch(net, img[None, None])[0, 0], label)
+                  for img, label in diagrams]
+        mixed = [pair if i % 2 else floats[i]
+                 for i, pair in enumerate(diagrams)]
+        tcfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=4, seed=5)
+        a = train(floats, net, tcfg)
+        b = train(mixed, net, tcfg)
+        assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+        assert a.meta == b.meta
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -457,14 +471,35 @@ class TestCheckpoint:
 
 
 class TestDownsample:
+    """The input gate block-averages a uint8 diagram onto the grid."""
+
     def test_block_means(self):
-        img = np.array([[0, 2, 4, 6],
-                        [2, 4, 6, 8],
-                        [10, 10, 0, 0],
-                        [10, 10, 0, 0]], dtype=np.float64)
-        out = area_downsample(img, 2, 2)
-        np.testing.assert_array_equal(out, [[2.0, 6.0], [10.0, 0.0]])
+        img = np.array([[0, 255, 255, 255],
+                        [0, 0, 255, 255],
+                        [255, 255, 0, 0],
+                        [255, 255, 0, 0]], dtype=np.uint8)
+        out = check_batch(NetworkConfig((4,), (1,), 2, 2), img[None, None])
+        np.testing.assert_array_equal(out, [[[[0.25, 1.0], [1.0, 0.0]]]])
+
+    def test_block_means_of_any_multiple(self):
+        pixels = np.random.default_rng(5).integers(
+            0, 256, size=(3, 1, 16, 64)).astype(np.uint8)
+        out = check_batch(TINY, pixels)  # 2x the rows, 4x the columns
+        want = np.empty((3, 1, 8, 16))
+        for r in range(8):
+            for c in range(16):
+                block = pixels[:, :, 2 * r:2 * r + 2, 4 * c:4 * c + 4]
+                want[:, :, r, c] = block.sum(axis=(2, 3)) / (8 * 255)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
 
     def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            area_downsample(np.zeros((5, 4)), 2, 2)
+        with pytest.raises(ValueError, match=r"\(1, 1, 5, 4\).*multiple"
+                                             r".*\[B, 1, 2, 2\]"):
+            check_batch(NetworkConfig((4,), (1,), 2, 2),
+                        np.zeros((1, 1, 5, 4), dtype=np.uint8))
+
+    def test_float_input_must_sit_on_the_grid(self):
+        with pytest.raises(ValueError, match=r"\(1, 1, 4, 4\) does not "
+                                             r"match \[B, 1, 2, 2\]"):
+            check_batch(NetworkConfig((4,), (1,), 2, 2), np.zeros((1, 1, 4, 4)))

@@ -4,7 +4,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from ecgscalo import classifier, cli, ingest, pipeline, rpeak, scalogram
+from ecgscalo import (classifier, cli, ingest, metrics, pipeline, rpeak,
+                      scalogram)
 from ecgscalo.classifier import NetworkConfig, TrainConfig
 from ecgscalo.config import (ButterworthConfig, DetectorConfig,
                              PipelineConfig, ScalogramConfig, load_config,
@@ -85,6 +86,9 @@ class TestConfig:
         (None, "feature_length", 1024.0, "PipelineConfig.feature_length"),
         ("butterworth", "order", 0, "order must be >= 1"),  # a bad value
         (None, "fs_default", float("nan"), "fs_default must be positive"),
+        ("detector", "searchback_factor", -1.0, "searchback factor"),
+        ("training", "momentum", 1.5, "momentum"),
+        ("training", "learning_rate", float("inf"), "learning rate"),
     ])
     def test_bad_value_fails_in_config_stage(self, tmp_path, capsys,
                                              section, key, value, name):
@@ -126,9 +130,21 @@ class TestConfig:
         lambda: DetectorConfig(refractory_s=float("nan")),
         lambda: DetectorConfig(init_window_s=float("nan")),
         lambda: TrainConfig(learning_rate=float("nan")),
+        lambda: TrainConfig(learning_rate=float("inf")),
+        lambda: DetectorConfig(searchback_factor=-1.0),
+        lambda: DetectorConfig(searchback_factor=0.0),
+        lambda: DetectorConfig(searchback_factor=float("nan")),
+        lambda: DetectorConfig(searchback_factor=float("inf")),
+        lambda: TrainConfig(momentum=float("nan")),
+        lambda: TrainConfig(momentum=-0.5),
+        lambda: TrainConfig(momentum=1.0),
+        lambda: TrainConfig(momentum=1.5),
     ], ids=["no_scales", "coarse_wavelet", "order_0", "cutoff_0",
             "cutoff_nan", "fs_default_nan", "refractory_nan",
-            "init_window_nan", "learning_rate_nan"])
+            "init_window_nan", "learning_rate_nan", "learning_rate_inf",
+            "searchback_negative", "searchback_0", "searchback_nan",
+            "searchback_inf", "momentum_nan", "momentum_negative",
+            "momentum_1", "momentum_1_5"])
     def test_stage_configs_check_themselves(self, make):
         with pytest.raises(ValueError):
             make()
@@ -449,6 +465,59 @@ class TestEndToEnd:
         classifier.save_model(model, tmp_path / "lib.bin")
         assert ((tmp_path / "cli.bin").read_bytes()
                 == (tmp_path / "lib.bin").read_bytes())
+
+    def test_labels_inside_the_data_directory_are_no_record(self, tmp_path,
+                                                            capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(epochs=2), cfg_path)
+        data, labels = write_dataset(tmp_path, n_normal=2, n_noise=2)
+        inside = data / "REFERENCE.csv"
+        inside.write_bytes(labels.read_bytes())
+        base = ["--config", str(cfg_path)]
+        for name, path in (("out", labels), ("in", inside)):
+            if name == "out":
+                inside.rename(tmp_path / "moved.csv")
+            assert cli.main(base + ["train", str(data), str(path),
+                                    str(tmp_path / f"{name}.bin")]) == 0
+            assert cli.main(base + ["eval", str(data), str(path),
+                                    str(tmp_path / f"{name}.bin"),
+                                    str(tmp_path / f"{name}.json")]) == 0
+            if name == "out":
+                (tmp_path / "moved.csv").rename(inside)
+        assert ((tmp_path / "in.bin").read_bytes()
+                == (tmp_path / "out.bin").read_bytes())
+        assert ((tmp_path / "in.json").read_bytes()
+                == (tmp_path / "out.json").read_bytes())
+
+    def test_checkpoint_grid_wins_over_the_config(self, tmp_path, capsys):
+        """A 16x64 network predicts and scores under the default config,
+        which makes 64x1024 diagrams, exactly as the library does."""
+        small = small_config()
+        model = classifier.init_model(small.network, seed=4)
+        model.params["head.b"][:] = [0.0, 0.0, 0.0, 0.1]
+        model.params["head.w"][0, :] = 2.0  # bright diagrams read Normal
+        model_path = tmp_path / "m.bin"
+        classifier.save_model(model, model_path)
+        data, labels = write_dataset(tmp_path, n_normal=2, n_noise=2)
+        truth = ingest.load_labels(labels)
+        cfg = PipelineConfig()
+        preds, golds = [], []
+        for path in sorted(data.glob("*.raw16")):
+            record = ingest.load_record(path)
+            pixels = pipeline.run_record(record, cfg).image.pixels
+            assert pixels.shape == (64, 1024)
+            want = classifier.predict(model, pixels)
+            capsys.readouterr()
+            assert cli.main(["predict", str(path), str(model_path)]) == 0
+            assert (capsys.readouterr().out.strip()
+                    == ingest.CLASS_SYMBOLS[want])
+            preds.append(want)
+            golds.append(truth[record.id])
+        assert len(set(preds)) > 1
+        assert cli.main(["eval", str(data), str(labels), str(model_path),
+                         str(tmp_path / "rep.json")]) == 0
+        want = metrics.challenge_f1(metrics.confusion(preds, golds))
+        assert (tmp_path / "rep.json").read_text() == want.to_json()
 
     def test_training_is_reproducible_across_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

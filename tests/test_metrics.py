@@ -25,6 +25,15 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion([0, 1], [0])
 
+    @pytest.mark.parametrize("preds,labels,bad", [
+        ([-1, 0], [0, -1], "-1"),
+        ([0, 4], [0, 1], "4"),
+        ([0], [7], "7"),
+    ])
+    def test_class_outside_range_rejected(self, preds, labels, bad):
+        with pytest.raises(ValueError, match=rf"class {bad} is not one of"):
+            confusion(preds, labels)
+
     def test_count_conservation(self):
         rng = np.random.default_rng(0)
         preds = rng.integers(0, 4, 100)

@@ -28,7 +28,7 @@ import numpy as np
 from ecgscalo.ingest import EcgClass
 
 _CHECKPOINT_MAGIC = b"ECGSCALO-MODEL-1\n"
-NUM_CLASSES = 4
+NUM_CLASSES = len(EcgClass)
 
 
 @dataclass(frozen=True)
@@ -351,8 +351,8 @@ def train(dataset, net: NetworkConfig, tcfg: TrainConfig,
     for img in images:
         check_batch(net, img)
     y_all = np.asarray([int(l) for l in labels], dtype=np.int64)
-    if np.any((y_all < 0) | (y_all >= net.num_classes)):
-        raise ValueError("labels must lie in [0, 3]")
+    if np.any((y_all < 0) | (y_all >= NUM_CLASSES)):
+        raise ValueError(f"labels must lie in [0, {NUM_CLASSES - 1}]")
 
     model = init_model(net, tcfg.seed)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}

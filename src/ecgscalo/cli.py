@@ -74,6 +74,10 @@ def cmd_preprocess(args) -> int:
     with _stage("ingest"):
         record = _load_record(args.input, cfg, args.format)
     with _stage("preprocess"):
+        fmt = ingest.FORMATS.get(Path(args.output).suffix.lower(), "csv")
+        if fmt != "csv":
+            raise ValueError(f"preprocess writes csv, not {fmt}: "
+                             f"{args.output}")
         filtered = pipeline.preprocess(record, cfg)
         _write_samples_csv(filtered, args.output)
         sidecar = {"id": record.id, "fs": record.fs, "scale": 1.0}
@@ -131,13 +135,11 @@ def cmd_scalogram(args) -> int:
     cfg = _load_cfg(args)
     with _stage("scalogram"):
         if args.from_wave:
-            values = [float(line) for line in
-                      Path(args.input).read_text().split()]
+            samples = ingest.load_record(args.input, "csv").samples
             sidecar = Path(args.input).with_suffix(".json")
             gated = (json.loads(sidecar.read_text())["is_noise_gated"]
-                     if sidecar.exists()
-                     else not any(v != 0.0 for v in values))
-            wave = featurize.FeatureWave(samples=np.asarray(values),
+                     if sidecar.exists() else not np.any(samples))
+            wave = featurize.FeatureWave(samples=samples,
                                          is_noise_gated=gated)
             scalo = pipeline.feature_to_scalogram(wave, cfg)
             image = scalogram.to_grayscale(scalo)

@@ -227,23 +227,18 @@ def design_butterworth_lowpass(order: int, fc: float, fs: float) -> IirCascade:
 
 
 def apply_filter(filt: IirCascade | RationalFilter, x) -> np.ndarray:
-    """Run the filter's difference equation with zero initial conditions.
+    """Run the filter's difference equation with zero initial conditions
+    over one 1-D signal.
 
     Output length equals input length and the operator is linear in x.
-    An array of more than one dimension is filtered along its last axis.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"input signal must be 1-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input signal contains non-finite samples")
     if not isinstance(filt, (IirCascade, RationalFilter)):
         raise TypeError(f"unsupported filter type {type(filt).__name__}")
-    if x.ndim != 1:
-        if x.ndim == 0:
-            raise ValueError("input signal must be an array, not a scalar")
-        out = np.empty_like(x)
-        for row in np.ndindex(x.shape[:-1]):
-            out[row] = apply_filter(filt, x[row])
-        return out
     if x.size == 0:
         return x.copy()
     return _convolve(filt.taps[:x.size], x)  # later taps never reach y

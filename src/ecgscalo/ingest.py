@@ -9,9 +9,12 @@ Supported on-disk formats:
   ``id`` is a string and ``fs`` and ``scale`` are finite and positive.
 * ``mat5``   -- uncompressed MATLAB level-5 file containing a single int16
   matrix named ``val`` (the shape the 2017 challenge distributes). Anything
-  else is rejected. The rate and scale come from a JSON sidecar if there is
-  one, else from the WFDB header ``<name>.hea`` the challenge ships beside
-  each file, else from the defaults.
+  else is rejected. The WFDB header ``<name>.hea`` the challenge ships
+  beside each file may give the rate and scale.
+
+Each of the id, rate and scale comes from the sidecar, else the header,
+else the default: the file stem, ``default_fs``, and a scale of 1 (csv) or
+``DEFAULT_MAT_SCALE`` (mat5).
 
 Labels come as a two-column CSV (``id,symbol``) with symbols N / A / O / ~.
 """
@@ -115,11 +118,14 @@ class SynthSpec:
             raise ValueError("fs and qrs_width must be positive")
 
 
-def _read_sidecar(path: Path, required: tuple[str, ...] = ()) -> dict | None:
-    """The sidecar ``<name>.json`` or None; a bad one raises FormatError."""
+def _read_sidecar(path: Path, required: tuple[str, ...] = ()) -> dict:
+    """The sidecar ``<name>.json``, or {} when there is none and no key is
+    ``required``; a missing or bad one raises FormatError."""
     sidecar = path.with_suffix(".json")
     if not sidecar.exists():
-        return None
+        if required:
+            raise FormatError(f"missing sidecar {sidecar}")
+        return {}
     try:
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -140,8 +146,8 @@ def load_record(path, fmt: str | None = None,
     """Load one record from disk.
 
     ``fmt`` is one of ``csv`` / ``raw16`` / ``mat5``; when omitted it is
-    inferred from the file extension by ``FORMATS``. A csv or mat5 record
-    whose rate no sidecar or header gives is read at ``default_fs``.
+    inferred from the file extension by ``FORMATS``. The id, rate and scale
+    follow the precedence above; a raw16 sidecar must give all three.
     """
     path = Path(path)
     if fmt is None:
@@ -149,16 +155,22 @@ def load_record(path, fmt: str | None = None,
         fmt = FORMATS.get(ext)
         if fmt is None:
             raise FormatError(f"cannot infer format from extension {ext!r}")
-    if fmt == "csv":
-        return _load_csv(path, default_fs)
-    if fmt == "raw16":
-        return _load_raw16(path)
-    if fmt == "mat5":
-        return _load_mat5(path, default_fs)
-    raise ValueError(f"unknown format {fmt!r}")
+    reader = {"csv": _read_csv, "raw16": _read_raw16,
+              "mat5": _read_mat5}.get(fmt)
+    if reader is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    raw, layer = reader(path)
+    sidecar = _read_sidecar(
+        path, required=("id", "fs", "scale") if fmt == "raw16" else ())
+    meta = {"id": path.stem, "fs": default_fs, **layer, **sidecar}
+    return EcgRecord(
+        id=meta["id"], fs=meta["fs"], scale=meta["scale"],
+        samples=np.asarray(raw, dtype=np.float64) * meta["scale"],
+        fs_source="sidecar" if "fs" in sidecar
+        else "header" if "fs" in layer else "default")
 
 
-def _load_csv(path: Path, default_fs: float) -> EcgRecord:
+def _read_csv(path: Path) -> tuple[list[float], dict]:
     data = path.read_bytes()
     values = []
     offset = 0
@@ -180,28 +192,17 @@ def _load_csv(path: Path, default_fs: float) -> EcgRecord:
         offset += len(line) + 1
     if not values:
         raise FormatError("empty signal", 0)
-    meta = _read_sidecar(path) or {}
-    scale = meta.get("scale", 1.0)
-    return EcgRecord(id=meta.get("id", path.stem),
-                     fs=meta.get("fs", default_fs),
-                     samples=np.array(values) * scale, scale=scale,
-                     fs_source="sidecar" if "fs" in meta else "default")
+    return values, {"scale": 1.0}
 
 
-def _load_raw16(path: Path) -> EcgRecord:
+def _read_raw16(path: Path) -> tuple[np.ndarray, dict]:
     data = path.read_bytes()
     if len(data) == 0:
         raise FormatError("empty signal", 0)
     if len(data) % 2:
         raise FormatError("odd byte count for 16-bit samples",
                           len(data) - 1)
-    meta = _read_sidecar(path, required=("id", "fs", "scale"))
-    if meta is None:
-        raise FormatError(f"missing sidecar {path.with_suffix('.json')}")
-    raw = np.frombuffer(data, dtype="<i2").astype(np.float64)
-    return EcgRecord(id=meta["id"], fs=meta["fs"],
-                     samples=raw * meta["scale"], scale=meta["scale"],
-                     fs_source="sidecar")
+    return np.frombuffer(data, dtype="<i2"), {}
 
 
 def write_raw16(record: EcgRecord, path) -> None:
@@ -232,19 +233,19 @@ def _header_number(text, kind, what: str, source: Path):
     return value
 
 
-def _read_wfdb_header(path: Path) -> dict | None:
+def _read_wfdb_header(path: Path) -> dict:
     """fs, scale and sample count from the WFDB header ``<name>.hea``.
 
     The record line is ``name nsig fs[/counter[(base)]] [nsamp ...]`` and
     must declare one signal. The signal line's third field is the gain,
     ``gain[(baseline)][/mV]`` in ADC units per mV, so 1000/mV gives a scale
     of 1e-3 mV per unit; without it the header gives no scale. Lines
-    starting with ``#`` are comments. Returns None when there is no header;
+    starting with ``#`` are comments. Returns {} when there is no header;
     a malformed one raises FormatError.
     """
     hea = path.with_suffix(".hea")
     if not hea.exists():
-        return None
+        return {}
     try:
         text = hea.read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
@@ -301,7 +302,7 @@ def _mat_tag(data: bytes, off: int) -> tuple[int, int, int, int]:
     return dtype, nbytes, payload, advance
 
 
-def _load_mat5(path: Path, default_fs: float) -> EcgRecord:
+def _read_mat5(path: Path) -> tuple[np.ndarray, dict]:
     data = path.read_bytes()
     if len(data) < 128:
         raise FormatError("file shorter than the 128-byte header", len(data))
@@ -357,21 +358,13 @@ def _load_mat5(path: Path, default_fs: float) -> EcgRecord:
             f"dims {dims} disagree with {count} stored samples", p)
     if count == 0:
         raise FormatError("empty signal", p)
-    raw = np.frombuffer(data, dtype="<i2", count=count, offset=p)
-
-    # precedence: sidecar, then WFDB header, then the defaults
-    meta = _read_sidecar(path) or {}
-    header = _read_wfdb_header(path) or {}
-    if header.get("nsamp", count) != count:
+    header = _read_wfdb_header(path)
+    nsamp = header.pop("nsamp", count)
+    if nsamp != count:
         raise FormatError(f"{path.with_suffix('.hea').name} declares "
-                          f"{header['nsamp']} samples, the file holds {count}")
-    scale = meta.get("scale", header.get("scale", DEFAULT_MAT_SCALE))
-    fs = meta.get("fs", header.get("fs", default_fs))
-    fs_source = ("sidecar" if "fs" in meta
-                 else "header" if "fs" in header else "default")
-    return EcgRecord(id=meta.get("id", path.stem), fs=fs,
-                     samples=raw.astype(np.float64) * scale,
-                     scale=scale, fs_source=fs_source)
+                          f"{nsamp} samples, the file holds {count}")
+    raw = np.frombuffer(data, dtype="<i2", count=count, offset=p)
+    return raw, {"scale": DEFAULT_MAT_SCALE, **header}
 
 
 def load_labels(path) -> dict[str, EcgClass]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ecgscalo.classifier import NUM_CLASSES
 from ecgscalo.ingest import EcgClass
 
 _CLASS_NAMES = [c.name for c in EcgClass]
@@ -37,16 +38,16 @@ class MetricsReport:
 
 
 def confusion(preds, labels) -> np.ndarray:
-    """4x4 count matrix: rows are true classes, columns predictions."""
+    """Square count matrix: rows are true classes, columns predictions."""
     preds = [int(p) for p in preds]
     labels = [int(t) for t in labels]
     if len(preds) != len(labels):
         raise ValueError(
             f"{len(preds)} predictions vs {len(labels)} labels")
     for v in (*preds, *labels):
-        if not 0 <= v < 4:
-            raise ValueError(f"class {v} is not one of 0..3")
-    cm = np.zeros((4, 4), dtype=np.int64)
+        if not 0 <= v < NUM_CLASSES:
+            raise ValueError(f"class {v} is not one of 0..{NUM_CLASSES - 1}")
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for t, p in zip(labels, preds):
         cm[t, p] += 1
     return cm
@@ -56,7 +57,7 @@ def precision_recall(cm) -> tuple[list[float | None], list[float | None]]:
     cm = np.asarray(cm)
     precision: list[float | None] = []
     recall: list[float | None] = []
-    for c in range(4):
+    for c in range(NUM_CLASSES):
         col = int(cm[:, c].sum())
         row = int(cm[c, :].sum())
         precision.append(int(cm[c, c]) / col if col else None)
@@ -74,7 +75,7 @@ def challenge_f1(cm) -> MetricsReport:
     cm = np.asarray(cm)
     precision, recall = precision_recall(cm)
     f1: list[float | None] = []
-    for c in range(4):
+    for c in range(NUM_CLASSES):
         denom = int(cm[c, :].sum()) + int(cm[:, c].sum())
         f1.append(2.0 * int(cm[c, c]) / denom if denom else None)
 
@@ -93,7 +94,7 @@ def format_confusion(cm) -> str:
     width = max(len(n) for n in _CLASS_NAMES) + 2
     head = " " * width + "".join(f"{n:>{width}}" for n in _CLASS_NAMES)
     lines = [head]
-    for c in range(4):
+    for c in range(NUM_CLASSES):
         row = "".join(f"{int(v):>{width}}" for v in cm[c])
         lines.append(f"{_CLASS_NAMES[c]:>{width}}" + row)
     return "\n".join(lines)

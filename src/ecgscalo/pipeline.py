@@ -42,10 +42,10 @@ def detect(record: EcgRecord, cfg: PipelineConfig,
 
 
 def feature_wave(record: EcgRecord, cfg: PipelineConfig,
-                 filtered: np.ndarray | None = None,
+                 filtered: np.ndarray,
                  peaks: rpeak.RPeaks | None = None) -> featurize.FeatureWave:
-    if filtered is None:
-        filtered = preprocess(record, cfg)
+    """Feature wave of the record's ``filtered`` samples; the peaks are
+    detected on them unless given."""
     if peaks is None:
         peaks = detect(record, cfg, filtered)
     return featurize.extract_feature_wave(

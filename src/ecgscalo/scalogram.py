@@ -242,14 +242,21 @@ def to_grayscale(s: Scalogram) -> GrayImage:
     """Affine min-max map of the coefficients onto [0, 255], half-up rounding.
 
     A flat matrix (max equals min, e.g. the all-zero scalogram of a gated
-    record) renders as pure black.
+    record) renders as pure black. A range too narrow for a finite
+    ``255 / range`` is lifted by an exact power of two first.
     """
     lo = float(np.min(s.coeffs))
     hi = float(np.max(s.coeffs))
     if hi == lo:
         return GrayImage(pixels=np.zeros(s.coeffs.shape, dtype=np.uint8))
-    scaled = (s.coeffs - lo) * (255.0 / (hi - lo))
-    return GrayImage(pixels=np.floor(scaled + 0.5).astype(np.uint8))
+    scaled, span = s.coeffs - lo, hi - lo
+    if 255.0 / span == math.inf:
+        exponent = -math.frexp(span)[1]
+        span = math.ldexp(span, exponent)
+        np.ldexp(scaled, exponent, out=scaled)
+    scaled *= 255.0 / span
+    scaled += 0.5  # >= 0.5, so the cast truncates to the half-up rounding
+    return GrayImage(pixels=scaled.astype(np.uint8))
 
 
 def write_pgm(image: GrayImage, path) -> None:

@@ -415,6 +415,36 @@ class TestCommands:
         assert "1000000000" in err["message"]
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("defect", ["nan\n", "0.5x\n", "\n"],
+                             ids=["nan", "not_a_number", "blank"])
+    def test_from_wave_reads_the_wave_as_strictly_as_a_record(
+            self, tmp_path, capsys, defect):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(), cfg_path)
+        wave = tmp_path / "wave.csv"
+        wave.write_text("0.25\n" * 100 + defect + "0.25\n" * 155)
+        rc = cli.main(["--config", str(cfg_path), "scalogram", str(wave),
+                       str(tmp_path / "w.pgm"), "--from-wave"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["stage"] == "scalogram"
+        assert err["message"].endswith("(byte offset 500)")
+        assert not (tmp_path / "w.pgm").exists()
+
+    @pytest.mark.parametrize("name", ["out.raw16", "out.bin", "out.MAT"])
+    def test_preprocess_refuses_an_output_read_as_another_format(
+            self, tmp_path, capsys, name):
+        record = tmp_path / "r.csv"
+        record.write_text("0.5\n" * 400)
+        (tmp_path / "r.json").write_text(json.dumps({"fs": 200.0}))
+        rc = cli.main(["preprocess", str(record), str(tmp_path / name)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["stage"] == "preprocess"
+        assert "preprocess writes csv" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv",
+                                                              "r.json"]
+
 
 class TestEndToEnd:
     def test_train_eval_predict(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,20 +154,14 @@ class TestApply:
     @pytest.mark.parametrize("filt", [
         dsp.design_butterworth_lowpass(6, 35.0, 300.0), pt_lowpass()],
         ids=["cascade", "pt_lowpass"])
-    @pytest.mark.parametrize("shape", [(2, 9000), (3, 40), (2, 1, 70)])
-    def test_filters_along_last_axis(self, filt, shape):
-        x = np.random.default_rng(3).normal(size=shape)
-        y = dsp.apply_filter(filt, x)
-        assert y.shape == x.shape
-        for row in np.ndindex(shape[:-1]):
-            np.testing.assert_array_equal(y[row], dsp.apply_filter(filt, x[row]))
-
-    def test_empty_rows_and_scalars(self):
-        c = dsp.design_butterworth_lowpass(6, 35.0, FS)
-        assert dsp.apply_filter(c, np.zeros((2, 0))).shape == (2, 0)
-        assert dsp.apply_filter(c, np.zeros((0, 5))).shape == (0, 5)
-        with pytest.raises(ValueError, match="scalar"):
-            dsp.apply_filter(c, 1.0)
+    def test_one_signal_only(self, filt):
+        for x in (1.0, np.zeros((2, 40))):
+            shape = np.shape(x)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"1-D, got shape {shape}")):
+                dsp.apply_filter(filt, x)
+        empty = dsp.apply_filter(filt, np.zeros(0))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 class TestMagnitudeResponse:

@@ -318,6 +318,7 @@ class TestSidecarRules:
         ("raw16", '{"id": "r", "fs": 200, "scale": 0}', "scale 0"),
         ("raw16", '{"fs": 200, "scale": 1}', "missing id"),
         ("raw16", '{"id": "r", "fs": 200}', "missing scale"),
+        ("raw16", '{"id": "r", "scale": 1}', "missing fs$"),
         ("raw16", "{}", "missing id, fs, scale"),
         ("mat", '{"scale": 1e999}', "scale inf"),
         ("mat", '{"fs": [300]}', r"fs \[300\]"),
@@ -339,6 +340,36 @@ class TestSidecarRules:
         with pytest.raises(FormatError, match=match) as err:
             ingest.load_record(path)
         assert "r.json" in str(err.value)
+
+
+class TestPrecedence:
+    """Each of id, fs and scale comes from the sidecar, else the header,
+    else the default, whichever of the keys the sidecar leaves out."""
+
+    HEADER = "r 1 300 2\nr.mat 16 200/mV\n"
+
+    @pytest.mark.parametrize("ext,header,sidecar,want", [
+        ("csv", None, {"scale": 2.0}, ("r", 360.0, 2.0, "default")),
+        ("csv", None, {"id": "X", "fs": 300.0}, ("X", 300.0, 1.0, "sidecar")),
+        ("mat", HEADER, {"id": "X"}, ("X", 300.0, 5e-3, "header")),
+        ("mat", HEADER, {"scale": 2e-3}, ("r", 300.0, 2e-3, "header")),
+        ("mat", None, {"fs": 128.0},
+         ("r", 128.0, ingest.DEFAULT_MAT_SCALE, "sidecar")),
+        ("mat", None, {"id": "X", "scale": 2e-3},
+         ("X", 360.0, 2e-3, "default")),
+    ])
+    def test_partial_sidecar(self, tmp_path, ext, header, sidecar, want):
+        path = tmp_path / f"r.{ext}"
+        if ext == "csv":
+            path.write_text("1\n2\n")
+        else:
+            write_minimal_mat(path, [1, 2])
+        if header is not None:
+            (tmp_path / "r.hea").write_text(header)
+        (tmp_path / "r.json").write_text(json.dumps(sidecar))
+        rec = ingest.load_record(path, default_fs=360.0)
+        assert (rec.id, rec.fs, rec.scale, rec.fs_source) == want
+        np.testing.assert_array_equal(rec.samples, [want[2], 2 * want[2]])
 
 
 class TestLabels:

@@ -9,7 +9,8 @@ def test_feature_wave_transform_steps_one_sample(db4_table):
     """Four resampled RR cycles have no sampling rate, so the transform
     steps one wave sample, whatever rate the loader assumes."""
     record, _ = synth_ecg(SynthSpec(duration=20.0, bpm=75.0, seed=4))
-    wave = pipeline.feature_wave(record, PipelineConfig())
+    cfg = PipelineConfig()
+    wave = pipeline.feature_wave(record, cfg, pipeline.preprocess(record, cfg))
     assert not wave.is_noise_gated
     want = scalogram.cwt(wave, np.arange(1.0, 65.0), db4_table, fs=1.0)
     for fs_default in (200.0, 300.0):
@@ -63,3 +64,16 @@ def test_run_record_is_finite_or_raises_value_error(db4_table, family, fs,
     assert out.image.pixels.dtype == np.uint8
     assert out.image.pixels.shape == (cfg.scalogram.num_scales,
                                       cfg.feature_length)
+
+
+def test_tiny_amplitude_record_keeps_its_diagram():
+    """An amplitude scale that ingest admits never blacks out the diagram:
+    at 1e-310 mV per unit the samples are subnormal."""
+    record, _ = synth_ecg(SynthSpec(duration=20.0, bpm=72.0,
+                                    noise_sigma=0.02, seed=5))
+    cfg = PipelineConfig()
+    want = pipeline.run_record(record, cfg).image.pixels
+    tiny = EcgRecord(id=record.id, fs=record.fs,
+                     samples=record.samples * 1e-310)
+    np.testing.assert_array_equal(pipeline.run_record(tiny, cfg).image.pixels,
+                                  want)

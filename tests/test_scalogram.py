@@ -42,7 +42,9 @@ def synthetic_waves():
              for seed, (bpm, sigma) in enumerate(
                  [(60.0, 0.0), (75.0, 0.05), (110.0, 0.1), (150.0, 0.02),
                   (20.0, 0.0)])]
-    return [pipeline.feature_wave(synth_ecg(spec)[0], cfg) for spec in specs]
+    records = [synth_ecg(spec)[0] for spec in specs]
+    return [pipeline.feature_wave(r, cfg, pipeline.preprocess(r, cfg))
+            for r in records]
 
 
 class TestFilterAdmissibility:
@@ -271,6 +273,17 @@ class TestGrayscale:
         s = Scalogram(coeffs=m, scales=np.arange(1, 6.0), fs=FS)
         np.testing.assert_array_equal(to_grayscale(s).pixels,
                                       m.astype(np.uint8))
+
+    @pytest.mark.parametrize("exponent", [-1070, -1040, -1000, 900])
+    def test_any_range_gives_the_same_pixels(self, exponent):
+        # integers times a power of two are exact, even as subnormals
+        m = np.random.default_rng(4).integers(-1000, 1000, size=(6, 40))
+        pixels = to_grayscale(Scalogram(coeffs=m.astype(np.float64),
+                                        scales=np.arange(1, 7.0), fs=FS))
+        tiny = Scalogram(coeffs=np.ldexp(m.astype(np.float64), exponent),
+                         scales=np.arange(1, 7.0), fs=FS)
+        np.testing.assert_array_equal(to_grayscale(tiny).pixels,
+                                      pixels.pixels)
 
 
 class TestExport:

@@ -131,16 +131,13 @@ def cmd_featurize(args) -> int:
 
 def cmd_scalogram(args) -> int:
     """Time-frequency diagram: full chain from a raw record, or just the
-    transform of an existing feature-wave csv (--from-wave)."""
+    transform of a feature-wave csv's samples alone (--from-wave)."""
     cfg = _load_cfg(args)
     with _stage("scalogram"):
         if args.from_wave:
             samples = ingest.load_record(args.input, "csv").samples
-            sidecar = Path(args.input).with_suffix(".json")
-            gated = (json.loads(sidecar.read_text())["is_noise_gated"]
-                     if sidecar.exists() else not np.any(samples))
             wave = featurize.FeatureWave(samples=samples,
-                                         is_noise_gated=gated)
+                                         is_noise_gated=not np.any(samples))
             scalo = pipeline.feature_to_scalogram(wave, cfg)
             image = scalogram.to_grayscale(scalo)
         else:
@@ -225,10 +222,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_config(args) -> int:
+    cfg = _load_cfg(args)
     with _stage("config"):
-        cfg = PipelineConfig()
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
         save_config(cfg, args.output)
     return 0
 
@@ -319,7 +314,7 @@ def main(argv=None) -> int:
     p.add_argument("model")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("init-config", help="write the default config JSON")
+    p = sub.add_parser("init-config", help="write the config JSON")
     p.add_argument("output")
     p.set_defaults(func=cmd_config)
 

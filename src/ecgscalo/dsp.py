@@ -32,6 +32,7 @@ of the taps.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,7 +242,11 @@ def apply_filter(filt: IirCascade | RationalFilter, x) -> np.ndarray:
         raise TypeError(f"unsupported filter type {type(filt).__name__}")
     if x.size == 0:
         return x.copy()
-    return _convolve(filt.taps[:x.size], x)  # later taps never reach y
+    # later taps never reach y; run at the power-of-two scale that puts the
+    # peak in [0.5, 1), clamped so both factors are exact normal floats
+    e = min(max(math.frexp(max(x.max(), -x.min()))[1], -1022), 1022)
+    y = _convolve(filt.taps[:x.size], x * math.ldexp(1.0, -e))
+    return np.multiply(y, math.ldexp(1.0, e), out=y)
 
 
 def magnitude_response(filt: IirCascade | RationalFilter, f, fs: float):

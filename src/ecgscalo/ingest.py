@@ -1,6 +1,6 @@
 """Record and label loading plus synthetic ECG generation.
 
-Supported on-disk formats:
+Supported on-disk formats, by extension ``.csv``, ``.raw16`` and ``.mat``:
 
 * ``csv``    -- one decimal amplitude per line, ``.`` decimal separator.
 * ``raw16``  -- little-endian signed 16-bit samples with a JSON sidecar
@@ -33,8 +33,8 @@ import numpy as np
 DEFAULT_FS = 200.0  # Hz, used when no sidecar or header supplies a rate
 DEFAULT_MAT_SCALE = 1e-3  # mV per ADC unit for challenge-style int16 data
 FS_SOURCES = ("given", "sidecar", "header", "default")
-# record file extension -> format name, as ``load_record`` infers it
-FORMATS = {".csv": "csv", ".raw16": "raw16", ".bin": "raw16", ".mat": "mat5"}
+# the one record extension of each format, as ``load_record`` infers it
+FORMATS = {".csv": "csv", ".raw16": "raw16", ".mat": "mat5"}
 
 
 class EcgClass(IntEnum):

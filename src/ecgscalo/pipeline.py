@@ -59,7 +59,7 @@ def feature_to_scalogram(wave: featurize.FeatureWave, cfg: PipelineConfig,
     if wavelet is None:
         wavelet = scalogram.build_db4(cfg.scalogram.iterations)
     scales = np.arange(1, cfg.scalogram.num_scales + 1, dtype=np.float64)
-    return scalogram.cwt(wave, scales, wavelet, fs=1.0)
+    return scalogram.cwt(wave.samples, scales, wavelet, fs=1.0)
 
 
 def run_record(record: EcgRecord, cfg: PipelineConfig,

@@ -31,7 +31,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ecgscalo.dsp import fft_size
-from ecgscalo.featurize import FeatureWave
 
 SUPPORT_END = 7.0  # the 8-tap family lives on [0, 7] in natural wavelet time
 VANISHING_MOMENTS = 4
@@ -213,28 +212,28 @@ def _kernel_spectra(wavelet: WaveletTable, scale_bytes: bytes, length: int,
     return nfft, spectra
 
 
-def cwt(wave, scales, wavelet: WaveletTable, fs: float) -> Scalogram:
+def cwt(samples, scales, wavelet: WaveletTable, fs: float) -> Scalogram:
     """Coefficient matrix of the discretized wavelet transform.
 
-    ``wave`` is a FeatureWave or a plain 1-D sequence; ``scales`` are the
-    positive dilation factors in sampling periods. Each row is the
-    cross-correlation of the signal with the dilated wavelet sampled at
-    integer offsets, the signal being zero outside its support. The same
-    sums are evaluated by FFT: the zero-padded wave's spectrum times the
-    cached kernel spectra, then one inverse transform.
+    ``samples`` is a 1-D sequence; ``scales`` are the positive dilation
+    factors in sampling periods. Each row is the cross-correlation of the
+    signal with the dilated wavelet sampled at integer offsets, the signal
+    being zero outside its support. The sums are evaluated by FFT on the
+    wave scaled by the power of two that puts its peak in [0.5, 1) (clamped
+    as in ``apply_filter``), and scaled back exactly.
     """
-    f = wave.samples if isinstance(wave, FeatureWave) else np.asarray(
-        wave, dtype=np.float64)
+    f = np.asarray(samples, dtype=np.float64)
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError(f"wave must be nonempty and 1-D, got shape {f.shape}")
     scales = np.asarray(scales, dtype=np.float64)
     if scales.size == 0 or np.any(scales <= 0):
         raise ValueError("scales must be a nonempty list of positive reals")
-    if f.size == 0:
-        raise ValueError("empty input wave")
-    length = f.size
-    nfft, spectra = _kernel_spectra(wavelet, scales.tobytes(), length,
+    nfft, spectra = _kernel_spectra(wavelet, scales.tobytes(), f.size,
                                     float(fs))
-    rows = np.fft.irfft(np.fft.rfft(f, nfft) * spectra, nfft, axis=1)
-    coeffs = np.ascontiguousarray(rows[:, :length])
+    e = min(max(math.frexp(max(f.max(), -f.min()))[1], -1022), 1022)
+    rows = np.fft.irfft(np.fft.rfft(f * math.ldexp(1.0, -e), nfft) * spectra,
+                        nfft, axis=1)
+    coeffs = rows[:, :f.size] * math.ldexp(1.0, e)
     return Scalogram(coeffs=coeffs, scales=scales, fs=fs)
 
 

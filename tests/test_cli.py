@@ -160,6 +160,16 @@ class TestConfig:
         cfg = load_config(out)
         assert cfg.training.seed == 99
 
+    def test_init_config_writes_its_config_back(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["--seed", "7", "init-config", str(a)]) == 0
+        assert cli.main(["--config", str(a), "init-config", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
+        save_config(small_config(), a)
+        assert cli.main(["--config", str(a), "--seed", "7", "init-config",
+                         str(b)]) == 0
+        assert load_config(b) == small_config(seed=7)
+
     def test_seed_flag_overrides_config_seed(self, tmp_path):
         cfg = small_config(epochs=0, seed=3)
         cfg_path = tmp_path / "cfg.json"
@@ -431,7 +441,26 @@ class TestCommands:
         assert err["message"].endswith("(byte offset 500)")
         assert not (tmp_path / "w.pgm").exists()
 
-    @pytest.mark.parametrize("name", ["out.raw16", "out.bin", "out.MAT"])
+    @pytest.mark.parametrize("sidecar", [
+        {"id": "k"}, {"id": "k", "fs": 300.0, "scale": 1.0},
+        {"id": "k", "is_noise_gated": True}],
+        ids=["record", "preprocess", "gated_flag"])
+    def test_from_wave_depends_only_on_the_samples(self, tmp_path, sidecar):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(), cfg_path)
+        wave = tmp_path / "k.csv"
+        wave.write_text("".join(f"{v!r}\n" for v in
+                                np.sin(np.arange(256) / 9.0).tolist()))
+        base = ["--config", str(cfg_path), "scalogram", str(wave)]
+        assert cli.main(base + [str(tmp_path / "bare.pgm"),
+                                "--from-wave"]) == 0
+        (tmp_path / "k.json").write_text(json.dumps(sidecar))
+        assert cli.main(base + [str(tmp_path / "side.pgm"),
+                                "--from-wave"]) == 0
+        assert ((tmp_path / "side.pgm").read_bytes()
+                == (tmp_path / "bare.pgm").read_bytes())
+
+    @pytest.mark.parametrize("name", ["out.raw16", "out.MAT"])
     def test_preprocess_refuses_an_output_read_as_another_format(
             self, tmp_path, capsys, name):
         record = tmp_path / "r.csv"
@@ -447,6 +476,19 @@ class TestCommands:
 
 
 class TestEndToEnd:
+    def test_checkpoint_beside_the_records_is_no_record(self, tmp_path):
+        """``.bin`` names a checkpoint: train, eval and a second train in a
+        directory that holds the labels and the model all succeed."""
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(epochs=1), cfg_path)
+        data, labels = write_dataset(tmp_path, n_normal=1, n_noise=1)
+        labels = labels.rename(data / "REFERENCE.csv")
+        model = data / "model.bin"
+        base = ["--config", str(cfg_path)]
+        for command in ("train", "eval", "train"):
+            assert cli.main(base + [command, str(data), str(labels),
+                                    str(model)]) == 0
+
     def test_train_eval_predict(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         save_config(small_config(epochs=30, lr=0.08), cfg_path)

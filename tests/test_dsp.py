@@ -146,6 +146,17 @@ class TestApply:
         rhs = 2.5 * dsp.apply_filter(c, x) - 1.25 * dsp.apply_filter(c, y)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
+    def test_scale_free_up_to_the_float_range(self):
+        """The input is filtered at the power of two that puts its peak in
+        [0.5, 1), so a finite record near the float range cannot overflow
+        the FFT, and a power-of-two factor passes through exactly."""
+        c = dsp.design_butterworth_lowpass(6, 35.0, 300.0)
+        x = np.random.default_rng(6).normal(size=6000)
+        y = dsp.apply_filter(c, x)
+        for k in (1016, -40):
+            np.testing.assert_array_equal(dsp.apply_filter(c, np.ldexp(x, k)),
+                                          np.ldexp(y, k))
+
     def test_non_finite_rejected(self):
         c = dsp.design_butterworth_lowpass(6, 35.0, FS)
         with pytest.raises(ValueError):

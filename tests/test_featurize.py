@@ -100,7 +100,7 @@ class TestExtract:
 class TestComposition:
     def test_gated_wave_gives_black_scalogram(self, db4_table):
         wave = extract_feature_wave(np.ones(6000), peaks_of([]), 256)
-        scalo = scalogram.cwt(wave, [1.0, 2.0, 5.0], db4_table, fs=FS)
+        scalo = scalogram.cwt(wave.samples, [1.0, 2.0, 5.0], db4_table, fs=FS)
         assert np.all(scalo.coeffs == 0.0)
         image = scalogram.to_grayscale(scalo)
         assert np.all(image.pixels == 0)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecgscalo import pipeline, scalogram
@@ -12,7 +13,7 @@ def test_feature_wave_transform_steps_one_sample(db4_table):
     cfg = PipelineConfig()
     wave = pipeline.feature_wave(record, cfg, pipeline.preprocess(record, cfg))
     assert not wave.is_noise_gated
-    want = scalogram.cwt(wave, np.arange(1.0, 65.0), db4_table, fs=1.0)
+    want = scalogram.cwt(wave.samples, np.arange(1.0, 65.0), db4_table, fs=1.0)
     for fs_default in (200.0, 300.0):
         cfg = PipelineConfig(fs_default=fs_default)
         got = pipeline.feature_to_scalogram(wave, cfg, db4_table)
@@ -76,4 +77,19 @@ def test_tiny_amplitude_record_keeps_its_diagram():
     tiny = EcgRecord(id=record.id, fs=record.fs,
                      samples=record.samples * 1e-310)
     np.testing.assert_array_equal(pipeline.run_record(tiny, cfg).image.pixels,
+                                  want)
+
+
+@pytest.mark.parametrize("factor", [1e300, 1e305, 1e306])
+def test_huge_amplitude_record_keeps_its_diagram(factor):
+    """The filter and the transform run at an exact power-of-two scale, so
+    a record near the top of the float range (largest sample about 1.05e305
+    at 1e305) neither overflows nor loses its diagram."""
+    record, _ = synth_ecg(SynthSpec(duration=20.0, bpm=72.0,
+                                    noise_sigma=0.02, seed=5))
+    cfg = PipelineConfig()
+    want = pipeline.run_record(record, cfg).image.pixels
+    huge = EcgRecord(id=record.id, fs=record.fs,
+                     samples=record.samples * factor)
+    np.testing.assert_array_equal(pipeline.run_record(huge, cfg).image.pixels,
                                   want)

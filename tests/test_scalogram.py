@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,14 +149,24 @@ class TestCwt:
         with pytest.raises(ValueError):
             cwt(np.ones(16), [0.0], db4_table, fs=FS)
 
-    def test_feature_wave_and_array_agree(self, db4_table):
-        from ecgscalo.featurize import FeatureWave
-        rng = np.random.default_rng(14)
-        values = rng.normal(size=96)
-        wave = FeatureWave(samples=values, is_noise_gated=False)
-        np.testing.assert_array_equal(
-            cwt(wave, [1.5, 4.0], db4_table, fs=FS).coeffs,
-            cwt(values, [1.5, 4.0], db4_table, fs=FS).coeffs)
+    def test_one_nonempty_wave_only(self, db4_table):
+        for f in (np.ones((2, 16)), 1.0, np.zeros(0)):
+            shape = np.shape(f)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"1-D, got shape {shape}")):
+                cwt(f, [1.0, 2.0], db4_table, fs=FS)
+
+    def test_scale_free_up_to_the_float_range(self, db4_table):
+        """The wave is transformed at the power of two that puts its peak
+        in [0.5, 1), so a finite wave near the float range cannot
+        overflow, and a power-of-two factor passes through exactly."""
+        f = np.random.default_rng(14).normal(size=1024)
+        scales = np.arange(1.0, 65.0)
+        base = cwt(f, scales, db4_table, fs=1.0).coeffs
+        for k in (1016, -40):
+            np.testing.assert_array_equal(
+                cwt(np.ldexp(f, k), scales, db4_table, fs=1.0).coeffs,
+                np.ldexp(base, k))
 
 
 class TestFftEvaluation:
@@ -165,7 +176,7 @@ class TestFftEvaluation:
         waves = synthetic_waves()
         assert waves[-1].is_noise_gated and not waves[0].is_noise_gated
         for wave in waves:
-            fast = cwt(wave, scales, db4_table, fs=FS)
+            fast = cwt(wave.samples, scales, db4_table, fs=FS)
             slow = cwt_direct(wave.samples, scales, db4_table, FS)
             assert_rows_close(fast.coeffs, slow)
             direct = Scalogram(coeffs=slow, scales=scales, fs=FS)
